@@ -136,8 +136,8 @@ inline std::string fmt_mb(std::uint64_t bytes) {
 // element (best of the measured repetitions), bytes_per_sec the payload
 // throughput (0 when a kernel has no natural byte volume). `unit` names
 // what ns_op measures; rows reporting a count rather than a rate (e.g.
-// message tallies) say so ("msgs") and carry ns_op = 0, and tools/bench_check
-// only requires a positive ns_op on "ns/op" rows.
+// byte totals or percentages) say so ("bytes", "pct") and carry ns_op = 0,
+// and tools/bench_check only requires a positive ns_op on "ns/op" rows.
 
 struct JsonBenchResult {
     std::string name;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/query_trace.hpp"
 #include "util/check.hpp"
 
 namespace bat {
@@ -300,6 +301,23 @@ std::uint64_t query_bat(const BatFile& file, const BatQuery& query, const QueryC
 std::uint64_t query_bat(const BatFile& file, const BatQuery& query, const QuerySink& sink,
                         QueryStats* stats) {
     return query_bat_impl(file, query, sink, stats);
+}
+
+QuerySink particle_sink(ParticleSet& out) {
+    QuerySink sink;
+    sink.point = [&out](Vec3 p, std::span<const double> attrs) { out.push_back(p, attrs); };
+    sink.range = [&out](const BatTreeletView& view, std::uint32_t begin, std::uint32_t end) {
+        obs::query_note_fastpath_window();
+        const std::uint32_t n = end - begin;
+        std::vector<std::span<const double>> cols;
+        cols.reserve(view.attrs.size());
+        for (const std::span<const double> a : view.attrs) {
+            cols.push_back(a.subspan(begin, n));
+        }
+        out.append_block(view.positions.subspan(3 * std::size_t{begin}, 3 * std::size_t{n}),
+                         cols);
+    };
+    return sink;
 }
 
 std::uint64_t query_bat(const BatDataView& bat, const BatQuery& query,

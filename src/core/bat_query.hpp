@@ -85,6 +85,11 @@ struct QuerySink {
     QueryRangeCallback range;
 };
 
+/// The sink every ParticleSet-building reader uses: points append one by
+/// one, fast-path windows bulk-append (and count toward the current query
+/// trace's fastpath_windows).
+QuerySink particle_sink(ParticleSet& out);
+
 /// Run a query against a BAT file; returns the number of points emitted
 /// by this call (stats, if given, accumulate — see QueryStats).
 std::uint64_t query_bat(const BatFile& file, const BatQuery& query, const QueryCallback& cb,

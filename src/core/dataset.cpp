@@ -36,14 +36,14 @@ const BatFile& Dataset::leaf_file(int leaf_id) {
     return *it->second;
 }
 
-std::uint64_t Dataset::query(const BatQuery& query, const QueryCallback& cb,
+std::uint64_t Dataset::query(const BatQuery& query, const QuerySink& sink,
                              QueryStats* stats) {
     // QueryStats accumulate across query_bat calls, so one struct sums the
     // whole multi-leaf sweep.
     QueryStats total;
     std::uint64_t emitted = 0;
     for (int leaf : meta_.query_leaves(query.box, query.attr_filters)) {
-        emitted += query_bat(leaf_file(leaf), query, cb, &total);
+        emitted += query_bat(leaf_file(leaf), query, sink, &total);
     }
     if (stats != nullptr) {
         *stats = total;
@@ -53,9 +53,7 @@ std::uint64_t Dataset::query(const BatQuery& query, const QueryCallback& cb,
 
 ParticleSet Dataset::collect(const BatQuery& query) {
     ParticleSet out(meta_.attr_names);
-    this->query(query, [&out](Vec3 p, std::span<const double> attrs) {
-        out.push_back(p, attrs);
-    });
+    this->query(query, particle_sink(out));
     return out;
 }
 

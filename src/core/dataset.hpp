@@ -38,10 +38,15 @@ public:
     /// Run a query across every matching leaf file; returns points emitted.
     /// Leaves are pruned through the metadata (spatially and by the
     /// global-range bitmaps) before being opened.
-    std::uint64_t query(const BatQuery& query, const QueryCallback& cb,
+    std::uint64_t query(const BatQuery& query, const QuerySink& sink,
                         QueryStats* stats = nullptr);
+    std::uint64_t query(const BatQuery& query, const QueryCallback& cb,
+                        QueryStats* stats = nullptr) {
+        return this->query(query, QuerySink{cb, nullptr}, stats);
+    }
 
-    /// Convenience: collect the matching points into a ParticleSet.
+    /// Convenience: collect the matching points into a ParticleSet (through
+    /// particle_sink, like the parallel read path).
     ParticleSet collect(const BatQuery& query);
 
     /// Leaf file handle (opened/mmapped on first use).

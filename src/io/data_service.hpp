@@ -3,21 +3,19 @@
 // also be leveraged to enable distributed data access for in situ
 // analytics").
 //
-// A DataService wraps the client-server query machinery of the parallel
-// read pipeline into a reusable collective: every rank acts as a data
+// A DataService is the second entry point to the query-round engine
+// (io/read_protocol) that read_particles uses: every rank acts as a data
 // server for the leaf files assigned to it (read-aggregator assignment,
 // §IV-A), and any rank can pose full BAT queries — spatial box, attribute
 // filters, progressive quality windows — against the whole data set. Each
 // query_round() is a collective in which every rank submits one query
 // (possibly an empty one) and receives its matching particles; servers keep
 // serving until a nonblocking barrier confirms that every rank got its
-// responses.
-//
-// Requests are coalesced (one message per distinct aggregator per round)
-// and, when a ThreadPool is supplied, leaf evaluations run on workers while
-// the comm loop keeps progressing — results are byte-identical to the
-// serial path because responses are keyed by request id and ingested in
-// request order.
+// responses. The service only selects leaves (through the metadata's
+// spatial and attribute pruning); requests are coalesced per aggregator,
+// leaves are evaluated through the same fast-path sink, and results are
+// byte-identical between serial and pooled serving, exactly as for
+// read_particles.
 
 #include <filesystem>
 #include <optional>

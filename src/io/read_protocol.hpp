@@ -1,133 +1,97 @@
 #pragma once
-// Internal wire protocol and serving engine shared by the parallel read
-// path (io/reader) and the in situ DataService (io/data_service).
+// The query-round engine: the one client–server protocol behind both the
+// parallel restart read (io/reader, read_particles) and the in situ
+// DataService (io/data_service, query_round) — paper §IV-A/B. The two entry
+// points differ only in how they pick leaves and which tags they talk on;
+// everything below is shared.
 //
-// Coalescing: a client groups every leaf it needs from the same aggregator
-// into ONE request message carrying the leaf-id list plus the query, so the
-// message count drops from O(overlapped leaves) to O(aggregators). The
-// response packs one serialized ParticleSet payload per requested leaf, in
-// request order, and echoes the client-chosen `seq` so clients can key
-// responses to requests deterministically regardless of completion order.
+// A round runs four stages on every rank:
 //
-// LeafServer fans the per-leaf query evaluations of incoming requests out
-// to a ThreadPool while the owning rank's comm loop keeps progressing
-// probes and the round barrier (the paper's overlap of serving with
-// communication, §IV-B). Workers only fill byte buffers; every vmpi call
-// stays on the comm thread, which vmpi requires.
+//   request — the leaves a rank needs from the same read aggregator go out
+//     as ONE coalesced message carrying the leaf-id list, the query and the
+//     query's trace identity, so message count is O(aggregators), not
+//     O(overlapped leaves). Each request carries a client-chosen `seq`.
+//   serve — the rank serves incoming requests for its own leaves while
+//     collecting its responses. Leaf evaluations fan out to a ThreadPool
+//     (when one is given) while the comm thread keeps progressing probes
+//     and, when idle, helps run queued evaluations; workers only fill byte
+//     buffers, every vmpi call stays on the comm thread. A response packs
+//     one serialized ParticleSet per requested leaf, in request order, and
+//     echoes `seq`. Once a rank holds all of its responses it enters a
+//     nonblocking barrier and keeps serving until the barrier completes.
+//   merge — responses are ingested in request (seq) order with one resize,
+//     so the result is byte-identical whatever the arrival order or thread
+//     schedule.
+//   local — self-queries on the rank's own leaves run after the loop.
+//
+// Remote serves and local queries both emit through particle_sink, so the
+// fully-contained fast path bulk-appends treelet windows on either side.
+// Each stage boundary is stamped once: the same stamps give the
+// ReadPhaseTimings rows (read.* phase spans) and the QueryRecord stages,
+// which tile the record's wall time exactly.
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <optional>
+#include <filesystem>
 #include <span>
 #include <vector>
 
 #include "core/bat_query.hpp"
+#include "core/metadata.hpp"
+#include "core/particles.hpp"
 #include "obs/query_trace.hpp"
-#include "util/thread_pool.hpp"
 #include "vmpi/comm.hpp"
 
-namespace bat::io_detail {
+namespace bat {
 
-struct LeafRequest {
-    /// Client-chosen id echoed by the response (index into the client's
-    /// outstanding-request table).
-    std::uint32_t seq = 0;
-    std::vector<std::int32_t> leaves;
-    BatQuery query;
-    /// Originating query identity, carried on the wire so the serving rank
-    /// attributes its leaf evaluations (spans, cache notes, pool time) to
-    /// the query that asked, not to the rank doing the work.
+class LeafFileCache;
+class ThreadPool;
+struct ReadPhaseTimings;
+
+namespace io_detail {
+
+/// The fixed side of a round: the comm and tags it talks on, the data set,
+/// and which rank serves each leaf.
+struct RoundSetup {
+    vmpi::Comm& comm;
+    int request_tag;
+    int response_tag;
+    const Metadata& meta;
+    std::filesystem::path dir;             // directory holding the leaf files
+    std::span<const int> leaf_aggregator;  // serving rank per leaf
+    LeafFileCache& cache;
+    ThreadPool* pool;  // nullptr = serve inline on the comm thread
+    const char* op;    // QueryRecord op (string literal)
+};
+
+/// This rank's part of one round.
+struct RoundQuery {
+    /// Minted by the caller, which also installs it (obs::QueryScope).
     obs::QueryContext ctx;
+    /// The query began: the QueryRecord's start.
+    std::uint64_t start_ns = 0;
+    /// The request stage begins (after any metadata load the caller did);
+    /// the caller's leaf selection is counted in the request stage.
+    std::uint64_t request_start_ns = 0;
+    /// Leaves to read, ascending; empty = take part without asking.
+    std::vector<int> leaves;
+    BatQuery query;
 };
 
-vmpi::Bytes encode_request(const LeafRequest& req);
-LeafRequest decode_request(std::span<const std::byte> bytes);
-
-/// parts[i] is the serialized ParticleSet payload for the request's i-th
-/// leaf. An empty part means the server failed on that leaf (the error is
-/// rethrown server-side; clients skip empty parts).
-vmpi::Bytes encode_response(std::uint32_t seq, std::span<const vmpi::Bytes> parts);
-
-struct ResponseView {
-    std::uint32_t seq = 0;
-    std::vector<std::span<const std::byte>> parts;  // views into the payload
-};
-ResponseView decode_response(std::span<const std::byte> bytes);
-
-/// The seq of a response payload without decoding the parts.
-std::uint32_t peek_response_seq(std::span<const std::byte> bytes);
-
-/// Merge response payloads into `out` in the given order with one resize
-/// and ParticleSet::deserialize_into per part — no intermediate sets.
-void merge_responses(ParticleSet& out, std::span<const vmpi::Bytes> payloads);
-
-/// Serves coalesced leaf requests arriving on `request_tag`, answering on
-/// `response_tag`. Each progress() call drains every iprobe-able request,
-/// fans its leaf evaluations to `pool` (nullptr or zero workers = evaluate
-/// inline, the serial path), and isends any response whose last part has
-/// finished. Responses leave in per-destination request order only as a
-/// side effect of job scan order; correctness rests on seq keying, not
-/// ordering.
-class LeafServer {
-public:
-    /// serve_leaf runs on pool workers: it must not touch the Comm and must
-    /// be safe to call concurrently for different leaves.
-    using ServeLeafFn = std::function<vmpi::Bytes(std::int32_t, const BatQuery&)>;
-
-    LeafServer(vmpi::Comm& comm, int request_tag, int response_tag, ThreadPool* pool,
-               ServeLeafFn serve_leaf);
-
-    /// Drain requests, send finished responses. Returns true if any message
-    /// moved (the caller's loop yields otherwise).
-    bool progress();
-
-    /// Run one queued pool task on the calling (comm) thread. Called by the
-    /// serve loop when progress() moved nothing: instead of yielding its
-    /// timeslice the comm thread helps compute leaf responses, which keeps
-    /// the pooled path from losing to serial serving on starved machines.
-    /// Returns false when serving inline or the pool queue was empty.
-    bool help();
-
-    /// No response is still being computed or waiting to be sent.
-    bool idle() const { return jobs_.empty(); }
-
-    /// Wait out remaining worker tasks, send the last responses, and
-    /// rethrow the first serve_leaf error, if any. Call after the round
-    /// barrier completes (at which point no new request can arrive).
-    void finish();
-
-    std::uint64_t requests_served() const { return requests_served_; }
-    std::uint64_t leaves_served() const { return leaves_served_; }
-    std::uint64_t bytes_shipped() const { return bytes_shipped_; }
-
-private:
-    struct Job {
-        int src = -1;
-        std::uint32_t seq = 0;
-        std::vector<std::int32_t> leaves;
-        BatQuery query;
-        obs::QueryContext ctx;
-        std::vector<vmpi::Bytes> parts;
-        std::atomic<std::size_t> remaining{0};
-    };
-
-    void start_job(int src, const vmpi::Bytes& payload);
-    bool send_ready();
-
-    vmpi::Comm& comm_;
-    int request_tag_;
-    int response_tag_;
-    ThreadPool* pool_;
-    ServeLeafFn serve_leaf_;
-    std::optional<TaskGroup> group_;
-    std::vector<std::unique_ptr<Job>> jobs_;
-    std::uint64_t requests_served_ = 0;
-    std::uint64_t leaves_served_ = 0;
-    std::uint64_t bytes_shipped_ = 0;
-    std::mutex err_mutex_;
-    std::exception_ptr first_error_;
+struct RoundResult {
+    ParticleSet particles;
+    std::uint64_t request_msgs = 0;     // coalesced requests this rank sent
+    std::uint64_t requests_served = 0;  // requests it answered as aggregator
+    std::uint64_t leaves_served = 0;
+    std::uint64_t bytes_shipped = 0;  // response bytes it sent
+    std::uint64_t bytes_read = 0;     // leaf-file bytes it opened
+    std::uint64_t wall_ns = 0;
 };
 
-}  // namespace bat::io_detail
+/// Collective over setup.comm: run one round and finalize its QueryRecord.
+/// With `timings` set, the stages are also read.request / read.serve /
+/// read.merge / read.local phase spans accumulating into it.
+RoundResult run_query_round(const RoundSetup& setup, const RoundQuery& query,
+                            ReadPhaseTimings* timings = nullptr);
+
+}  // namespace io_detail
+}  // namespace bat

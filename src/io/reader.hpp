@@ -9,20 +9,17 @@
 //       preserving the spatial locality the write phase established) — so
 //       data can be read at much larger or smaller core counts than it was
 //       written with;
-//   (b) each rank determines which leaves overlap its bounds and sends ONE
-//       coalesced request per distinct read aggregator, carrying all the
-//       leaf ids it needs from that rank (O(aggregators) messages instead
-//       of O(leaves));
-//   (c) read aggregators run a client–server loop on nonblocking MPI-style
-//       calls: incoming requests are fanned out per leaf to a thread pool
-//       (when one is configured) while the comm loop keeps progressing
-//       probes, responses, and the round barrier; each multi-leaf response
-//       is isent as soon as its last leaf finishes. Once a rank has
-//       received all of its own responses it enters a nonblocking barrier,
-//       continuing to serve until the barrier completes. Responses are
-//       keyed by request id, so results are byte-identical regardless of
-//       thread scheduling or arrival order. Self-queries run locally after
-//       exiting the loop.
+//   (b) each rank picks the leaves overlapping its bounds and hands them,
+//       with a box query, to the query-round engine (io/read_protocol) —
+//       the same engine DataService::query_round runs. The engine sends ONE
+//       coalesced request per distinct read aggregator (O(aggregators)
+//       messages instead of O(leaves)); there is no per-leaf mode;
+//   (c) read aggregators serve on nonblocking MPI-style calls, fanning
+//       leaf evaluations out to a thread pool (when one is configured),
+//       until a nonblocking barrier confirms every rank has its responses.
+//       Responses are keyed by request id, so results are byte-identical
+//       regardless of thread scheduling or arrival order. Self-queries run
+//       locally after exiting the loop.
 
 #include <filesystem>
 
@@ -43,10 +40,6 @@ struct ReaderConfig {
     /// local self-queries bulk-append through). nullptr = serve serially on
     /// the comm thread; results are byte-identical either way.
     ThreadPool* pool = nullptr;
-    /// Batch all leaves requested from one aggregator into a single
-    /// request/response pair. Per-leaf mode (false) exists for benchmarks
-    /// and A/B comparisons only.
-    bool coalesce = true;
     /// Leaf-file cache reused across collective reads; nullptr = the
     /// process-global LeafFileCache.
     LeafFileCache* cache = nullptr;

@@ -14,7 +14,6 @@
 // performance model (simio) emits the same format onto virtual tracks, so
 // modeled and measured timelines are directly comparable.
 
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -144,8 +143,12 @@ private:
 class PhaseSpan {
 public:
     PhaseSpan(const char* name, double* accum, const char* cat = "phase")
-        : name_(name), cat_(cat), accum_(accum),
-          t0_(std::chrono::steady_clock::now()), open_(true),
+        : PhaseSpan(name, accum, trace_now_ns(), cat) {}
+    /// Starts at `start_ns` (trace_now_ns clock): pass the previous phase's
+    /// close() stamp so consecutive phases share one boundary stamp.
+    PhaseSpan(const char* name, double* accum, std::uint64_t start_ns,
+              const char* cat = "phase")
+        : name_(name), cat_(cat), accum_(accum), t0_ns_(start_ns), open_(true),
           traced_(trace_enabled()) {
         if (traced_) {
             emit_begin(name_, cat_);
@@ -159,15 +162,15 @@ public:
     PhaseSpan& operator=(const PhaseSpan&) = delete;
     ~PhaseSpan() { close(); }
 
-    /// End the phase early; idempotent.
-    void close() {
+    /// End the phase early; idempotent. Returns the end stamp
+    /// (trace_now_ns clock), taken on the first call.
+    std::uint64_t close() {
         if (!open_) {
-            return;
+            return t1_ns_;
         }
         open_ = false;
-        const double seconds = std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - t0_)
-                                   .count();
+        t1_ns_ = trace_now_ns();
+        const double seconds = static_cast<double>(t1_ns_ - t0_ns_) * 1e-9;
         if (accum_ != nullptr) {
             *accum_ += seconds;
         }
@@ -181,13 +184,15 @@ public:
             tracked_ = false;
             health_detail::pop_span();
         }
+        return t1_ns_;
     }
 
 private:
     const char* name_;
     const char* cat_;
     double* accum_;
-    std::chrono::steady_clock::time_point t0_;
+    std::uint64_t t0_ns_;
+    std::uint64_t t1_ns_ = 0;
     bool open_;
     bool traced_;
     bool tracked_ = false;

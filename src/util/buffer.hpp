@@ -91,7 +91,9 @@ public:
     void read_into(std::span<T> out) {
         static_assert(std::is_trivially_copyable_v<T>);
         BAT_CHECK_MSG(pos_ + out.size_bytes() <= bytes_.size(), "buffer underrun");
-        std::memcpy(out.data(), bytes_.data() + pos_, out.size_bytes());
+        if (!out.empty()) {  // an empty span may be null: memcpy(nullptr, ...) is UB
+            std::memcpy(out.data(), bytes_.data() + pos_, out.size_bytes());
+        }
         pos_ += out.size_bytes();
     }
 

@@ -74,8 +74,12 @@ void Request::wait() {
     };
     validator->on_wait_begin(impl_->rank, impl_->desc);
     WaitGuard guard{validator, impl_->rank};
-    while (!test()) {
-        if (validator->poll_deadlock(impl_->rank)) {
+    for (;;) {
+        const std::uint64_t seen_progress = validator->progress();
+        if (test()) {
+            break;
+        }
+        if (validator->poll_deadlock(impl_->rank, seen_progress)) {
             throw DeadlockError(validator->deadlock_message());
         }
         sched::yield_blocked("vmpi.wait");

@@ -122,7 +122,7 @@ void Validator::on_wait_end(int rank) {
     ranks_[static_cast<std::size_t>(rank)]->phase.store(0, std::memory_order_release);
 }
 
-bool Validator::poll_deadlock(int rank) {
+bool Validator::poll_deadlock(int rank, std::uint64_t seen_progress) {
     if (deadlock_.load(std::memory_order_acquire)) {
         return true;
     }
@@ -149,10 +149,25 @@ bool Validator::poll_deadlock(int rank) {
     if (progress != last_progress_) {
         last_progress_ = progress;
         stable_rounds_ = 0;
+        for (const auto& rs : ranks_) {
+            rs->polled_fresh = false;
+        }
         return false;
+    }
+    if (seen_progress == progress) {
+        ranks_[static_cast<std::size_t>(rank)]->polled_fresh = true;
     }
     if (++stable_rounds_ < opts_.deadlock_stable_rounds) {
         return false;
+    }
+    // Polls of the other ranks alone prove nothing about a rank that was
+    // descheduled since the last delivery: a message may be waiting for it.
+    // Every blocked rank must itself have failed a poll begun after the
+    // last progress event.
+    for (const auto& rs : ranks_) {
+        if (rs->phase.load(std::memory_order_acquire) == 1 && !rs->polled_fresh) {
+            return false;
+        }
     }
 
     // Declare: every live rank is blocked and nothing has moved for many
@@ -174,7 +189,6 @@ bool Validator::poll_deadlock(int rank) {
     deadlock_msg_ = os.str();
     diagnostics_.push_back(Diagnostic{DiagKind::deadlock, -1, deadlock_msg_});
     deadlock_.store(true, std::memory_order_release);
-    (void)rank;
     return true;
 }
 

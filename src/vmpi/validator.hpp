@@ -114,9 +114,12 @@ public:
     // ---- blocking / deadlock (Request::wait) ---------------------------
     void on_wait_begin(int rank, const std::string& what);
     void on_wait_end(int rank);
-    /// Called after each failed poll inside wait(). Returns true once
-    /// deadlock has been declared; the caller throws DeadlockError.
-    bool poll_deadlock(int rank);
+    /// Progress count, read by wait() before each poll of its request.
+    std::uint64_t progress() const { return progress_.load(std::memory_order_acquire); }
+    /// Called after each failed poll inside wait(); `seen_progress` is the
+    /// progress() value read before that poll. Returns true once deadlock
+    /// has been declared; the caller throws DeadlockError.
+    bool poll_deadlock(int rank, std::uint64_t seen_progress);
     std::string deadlock_message() const;
 
     // ---- finalize ------------------------------------------------------
@@ -130,6 +133,9 @@ private:
         std::atomic<int> phase{0};
         std::mutex desc_mutex;
         std::string wait_desc;
+        // This rank failed a poll that started after the last progress
+        // event (guarded by mutex_).
+        bool polled_fresh = false;
     };
     std::vector<std::unique_ptr<RankState>> ranks_;
 

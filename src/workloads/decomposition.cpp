@@ -23,11 +23,23 @@ Box GridDecomp::rank_box(int r) const {
 }
 
 Box GridDecomp::rank_read_box(int r) const {
-    Box b = rank_box(r);
-    for (int a = 0; a < 3; ++a) {
-        if (b.upper[a] >= domain.upper[a]) {
-            b.upper[a] = std::nextafter(domain.upper[a], std::numeric_limits<float>::max());
+    BAT_CHECK(r >= 0 && r < nranks());
+    const int n[3] = {nx, ny, nz};
+    const int idx[3] = {r % nx, (r / nx) % ny, r / (nx * ny)};
+    const Vec3 ext = domain.extent();
+    // Face i < n of an axis is one expression (rank_box's lower corner), so
+    // neighbouring cells share bit-identical faces; face n sits just past
+    // domain.upper, so the half-open last cell keeps particles on that face.
+    const auto face = [&](int a, int i) {
+        if (i == n[a]) {
+            return std::nextafter(domain.upper[a], std::numeric_limits<float>::max());
         }
+        return domain.lower[a] + ext[a] / static_cast<float>(n[a]) * static_cast<float>(i);
+    };
+    Box b;
+    for (int a = 0; a < 3; ++a) {
+        b.lower[a] = face(a, idx[a]);
+        b.upper[a] = face(a, idx[a] + 1);
     }
     return b;
 }

@@ -23,9 +23,11 @@ struct GridDecomp {
     int nranks() const { return nx * ny * nz; }
     /// Bounds of rank r (x-fastest ordering).
     Box rank_box(int r) const;
-    /// Bounds of rank r for half-open restart reads: faces on the domain's
-    /// upper boundary are nudged outward so particles sitting exactly on
-    /// the boundary (e.g. clamped by a generator) keep exactly one owner.
+    /// Bounds of rank r for half-open restart reads. Adjacent cells share
+    /// bit-identical faces and the domain's upper faces are nudged outward,
+    /// so the half-open read boxes partition the domain exactly: every
+    /// particle inside it (even one clamped onto the upper boundary) lies in
+    /// exactly one of them.
     Box rank_read_box(int r) const;
     /// Rank owning position p (positions outside the domain are clamped).
     int owner(Vec3 p) const;

@@ -24,6 +24,11 @@ public:
         path_ = std::filesystem::temp_directory_path() /
                 (prefix + "_" + std::to_string(::getpid()) + "_" +
                  std::to_string(counter.fetch_add(1)));
+        // A directory left by an earlier process with the same (recycled)
+        // pid — e.g. an intentionally leaked fixture — must not leak its
+        // files into this test.
+        std::error_code ec;
+        std::filesystem::remove_all(path_, ec);
         std::filesystem::create_directories(path_);
     }
     ~TempDir() {

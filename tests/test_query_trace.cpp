@@ -266,6 +266,29 @@ TEST(QueryTraceTest, ReadParticlesEmitsRecords) {
               static_cast<std::uint64_t>(nranks));
 }
 
+TEST(QueryTraceTest, DataServiceRoundCountsFastPathWindows) {
+    // Whole-domain boxes contain every treelet, so both remote serves and
+    // local self-queries emit through particle_sink's range fast path, and
+    // each query's record counts those windows.
+    Written w;
+    TraceArmed armed;
+    const int nranks = 4;
+    vmpi::Runtime::run(nranks, [&](vmpi::Comm& comm) {
+        DataService service(comm, w.meta_path);
+        BatQuery query;
+        query.box = kDomain;
+        service.query_round(query);
+    });
+    const std::vector<obs::QueryRecord> records = obs::query_records();
+    ASSERT_EQ(records.size(), static_cast<std::size_t>(nranks));
+    for (const obs::QueryRecord& r : records) {
+        EXPECT_STREQ(r.op, "service.query_round");
+        EXPECT_EQ(r.particles, w.global.count());
+        EXPECT_GT(r.fastpath_windows, 0u) << "origin " << r.origin_rank;
+        EXPECT_EQ(r.request_ns + r.serve_ns + r.merge_ns + r.local_ns, r.wall_ns);
+    }
+}
+
 // ---- JSONL export ----------------------------------------------------------
 
 TEST(QueryTraceTest, JsonlSchemaRoundTrips) {

@@ -1,7 +1,9 @@
 // Tests for the parallel, batched read path: threaded leaf serving vs the
-// serial path (byte-identical), request coalescing (O(aggregators)
-// messages), protocol-validator cleanliness under concurrent serving, and
-// the shared LRU leaf-file cache. The sanitizer matrix runs this file under
+// serial path (byte-identical), request coalescing (exactly one message per
+// distinct remote aggregator), the query-round engine's two entry points
+// (read_particles and DataService) agreeing byte for byte,
+// protocol-validator cleanliness under concurrent serving, and the shared
+// LRU leaf-file cache. The sanitizer matrix runs this file under
 // TSan, covering the comm-thread/worker handoff in LeafServer.
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <set>
 
 #include "io/data_service.hpp"
 #include "io/leaf_cache.hpp"
@@ -87,34 +90,41 @@ TEST(ReadParallelTest, ThreadedServingByteIdenticalToSerial) {
     }
 }
 
-TEST(ReadParallelTest, PerLeafModeAgreesAndCoalescingCutsMessages) {
+TEST(ReadParallelTest, CoalescedRequestsMatchDistinctRemoteAggregators) {
     const Written w;
     auto& metrics = obs::MetricsRegistry::global();
     ThreadPool pool(2);
     const int read_ranks = 8;
+    ReaderConfig rc;
+    rc.pool = &pool;
+    const std::uint64_t before = metrics.counter("read.request_msgs").value();
+    const auto bytes = read_all(w, read_ranks, rc);
+    const std::uint64_t msgs = metrics.counter("read.request_msgs").value() - before;
+    EXPECT_EQ(total_count(bytes), w.global.count());
 
-    ReaderConfig per_leaf;
-    per_leaf.pool = &pool;
-    per_leaf.coalesce = false;
-    const std::uint64_t before_per_leaf = metrics.counter("read.request_msgs").value();
-    const auto per_leaf_bytes = read_all(w, read_ranks, per_leaf);
-    const std::uint64_t per_leaf_msgs =
-        metrics.counter("read.request_msgs").value() - before_per_leaf;
-
-    ReaderConfig coalesced;
-    coalesced.pool = &pool;
-    const std::uint64_t before_coalesced = metrics.counter("read.request_msgs").value();
-    const auto coalesced_bytes = read_all(w, read_ranks, coalesced);
-    const std::uint64_t coalesced_msgs =
-        metrics.counter("read.request_msgs").value() - before_coalesced;
-
-    EXPECT_EQ(coalesced_bytes, per_leaf_bytes);
-    // Coalesced traffic is bounded by the aggregator count per client;
-    // per-leaf traffic scales with overlapped leaves (many, given the tiny
-    // target file size).
-    EXPECT_LE(coalesced_msgs,
-              static_cast<std::uint64_t>(read_ranks) * (read_ranks - 1));
-    EXPECT_LT(coalesced_msgs, per_leaf_msgs);
+    // Computed from the metadata alone: each rank sends exactly one request
+    // per distinct remote aggregator among the leaves its box overlaps.
+    const Metadata meta = Metadata::load(w.meta_path);
+    const std::vector<int> aggregator =
+        assign_read_aggregators(static_cast<int>(meta.leaves.size()), read_ranks);
+    const GridDecomp decomp = grid_decomp_3d(read_ranks, kDomain);
+    std::uint64_t want_msgs = 0;
+    std::uint64_t remote_leaves = 0;
+    for (int r = 0; r < read_ranks; ++r) {
+        std::set<int> remote;
+        for (int leaf : meta.query_leaves(decomp.rank_read_box(r))) {
+            const int a = aggregator[static_cast<std::size_t>(leaf)];
+            if (a != r) {
+                remote.insert(a);
+                ++remote_leaves;
+            }
+        }
+        want_msgs += remote.size();
+    }
+    EXPECT_EQ(msgs, want_msgs);
+    // The tiny target file size gives every aggregator several leaves, so
+    // coalescing must batch some of them.
+    EXPECT_LT(msgs, remote_leaves);
 }
 
 TEST(ReadParallelTest, EveryRankServesAndRequestsValidatorClean) {
@@ -175,6 +185,30 @@ TEST(ReadParallelTest, DataServiceThreadedMatchesSerial) {
         round1_total += ParticleSet::from_bytes(b).count();
     }
     EXPECT_GE(round1_total, w.global.count());  // round 1 partitions; round 2 adds
+}
+
+TEST(ReadParallelTest, DataServiceRoundMatchesReadParticlesBytes) {
+    // Both entry points of the query-round engine: a service round over a
+    // rank's half-open read box returns exactly what read_particles does.
+    const Written w;
+    const int nranks = 5;
+    const auto want = read_all(w, nranks, ReaderConfig{});
+    const GridDecomp decomp = grid_decomp_3d(nranks, kDomain);
+    ThreadPool pool(2);
+    for (ThreadPool* serve_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        std::vector<std::vector<std::byte>> got(static_cast<std::size_t>(nranks));
+        std::mutex mutex;
+        vmpi::Runtime::run(nranks, [&](vmpi::Comm& comm) {
+            DataService service(comm, w.meta_path, serve_pool);
+            BatQuery query;
+            query.box = decomp.rank_read_box(comm.rank());
+            query.inclusive_upper = false;
+            const ParticleSet mine = service.query_round(query);
+            std::lock_guard<std::mutex> lock(mutex);
+            got[static_cast<std::size_t>(comm.rank())] = mine.to_bytes();
+        });
+        EXPECT_EQ(got, want) << (serve_pool != nullptr ? "pooled" : "serial");
+    }
 }
 
 TEST(ReadParallelTest, LeafCacheHitsAcrossCollectiveReads) {

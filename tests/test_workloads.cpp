@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "util/rng.hpp"
@@ -97,6 +98,61 @@ TEST(DecompTest, MakeRankInfos) {
         EXPECT_EQ(infos[static_cast<std::size_t>(r)].num_particles,
                   counts[static_cast<std::size_t>(r)]);
         EXPECT_EQ(infos[static_cast<std::size_t>(r)].bounds, d.rank_box(r));
+    }
+}
+
+TEST(DecompTest, ReadBoxesPartitionBoilerSeries) {
+    // A boiler restart series read back at 4 ranks over each step's tight
+    // data bounds, so particles sit on the decomposition's upper faces.
+    // Every particle must lie in exactly one half-open rank_read_box.
+    BoilerConfig config;
+    config.seed = 1;
+    config.particles_at_start = 24'000;
+    config.particles_at_end = 216'000;
+    constexpr int kSteps = 8;
+    const auto in_half_open = [](const Box& b, Vec3 p) {
+        for (int a = 0; a < 3; ++a) {
+            if (!(p[a] >= b.lower[a] && p[a] < b.upper[a])) {
+                return false;
+            }
+        }
+        return true;
+    };
+    for (int k = 0; k < kSteps; ++k) {
+        const int t = config.t_start + k * (config.t_end - config.t_start) / (kSteps - 1);
+        const ParticleSet set = make_boiler_particles(config, t);
+        const GridDecomp d = grid_decomp_3d(4, set.bounds());
+        std::vector<Box> boxes;
+        for (int r = 0; r < d.nranks(); ++r) {
+            boxes.push_back(d.rank_read_box(r));
+        }
+        std::size_t not_once = 0;
+        for (std::size_t i = 0; i < set.count(); ++i) {
+            const auto owners = std::count_if(boxes.begin(), boxes.end(), [&](const Box& b) {
+                return in_half_open(b, set.position(i));
+            });
+            not_once += owners == 1 ? 0 : 1;
+        }
+        EXPECT_EQ(not_once, 0u) << "step " << k << " (timestep " << t << ")";
+    }
+}
+
+TEST(DecompTest, ReadBoxesShareInteriorFaces) {
+    const GridDecomp d = grid_decomp_3d(12, Box({0.1f, 0.2f, 0.3f}, {3.7f, 2.9f, 1.3f}));
+    for (int r = 0; r < d.nranks(); ++r) {
+        const Box read = d.rank_read_box(r);
+        EXPECT_EQ(read.lower, d.rank_box(r).lower);
+        for (int a = 0; a < 3; ++a) {
+            if (read.upper[a] > d.domain.upper[a]) {
+                continue;  // outermost face, nudged past the domain
+            }
+            // Interior upper faces are the lower face of some other cell.
+            bool shared = false;
+            for (int s = 0; s < d.nranks(); ++s) {
+                shared = shared || d.rank_read_box(s).lower[a] == read.upper[a];
+            }
+            EXPECT_TRUE(shared) << "rank " << r << " axis " << a;
+        }
     }
 }
 

@@ -29,8 +29,6 @@
 //     incremental path silently degraded to full rewrites);
 //   serve — threaded leaf serving must not lose to the serial comm-thread
 //     path: read.serve_pool <= read.serve_serial ns/op at n >= 1M;
-//   msgs — request coalescing must cut traffic: the read.msgs_coalesced
-//     message count (`n`) must be below read.msgs_per_leaf;
 //   querytrace — armed per-query tracing must stay cheap: the
 //     read.total_querytrace ns/op (bench/obs_overhead --json) must be within
 //     5% of read.total_off;
@@ -43,8 +41,8 @@
 //     (BAT_BENCH_MAX_PROF_SHARE_DELTA).
 //
 // Rows carry a `unit` (default "ns/op"); rows whose unit is a plain count
-// (e.g. "msgs") are exempt from the positive-ns_op requirement, since their
-// payload is `n` and a fabricated rate would gate nothing real.
+// (e.g. "bytes", "pct") are exempt from the positive-ns_op requirement,
+// since their payload is `n` and a fabricated rate would gate nothing real.
 //
 // A bat-report-v1 document (obs/health.hpp run report, BAT_REPORT_FILE)
 // instead goes through the `report` gate family: schema-validates the run /
@@ -160,31 +158,6 @@ int gate_serve(const NsByKey& ns_op) {
                 static_cast<unsigned long long>(n_serial), pool_ns, serial_ns, speedup);
     if (speedup < 1.0) {
         fail("threaded leaf serving slower than serial at n=" + std::to_string(n_serial));
-        return -1;
-    }
-    return 1;
-}
-
-int gate_msgs(const NsByKey& ns_op) {
-    std::uint64_t coalesced = 0;
-    std::uint64_t per_leaf = 0;
-    double ignored = 0;
-    const bool has_coalesced = find_unique(ns_op, "read.msgs_coalesced", &coalesced,
-                                           &ignored);
-    const bool has_per_leaf = find_unique(ns_op, "read.msgs_per_leaf", &per_leaf,
-                                          &ignored);
-    if (!has_coalesced && !has_per_leaf) {
-        return 0;
-    }
-    if (!has_coalesced || !has_per_leaf) {
-        fail("read.msgs_coalesced/read.msgs_per_leaf must appear together (once each)");
-        return -1;
-    }
-    std::printf("bench_check: request msgs: coalesced %llu vs per-leaf %llu\n",
-                static_cast<unsigned long long>(coalesced),
-                static_cast<unsigned long long>(per_leaf));
-    if (coalesced >= per_leaf) {
-        fail("coalescing did not reduce the request message count");
         return -1;
     }
     return 1;
@@ -792,7 +765,7 @@ int run(int argc, char** argv) {
 
     int gated = 0;
     for (const auto gate :
-         {gate_radix, gate_simd, gate_serve, gate_msgs, gate_querytrace,
+         {gate_radix, gate_simd, gate_serve, gate_querytrace,
           gate_series, gate_prof_overhead, gate_prof_attrib, gate_prof_shares}) {
         const int checked = gate(ns_op);
         if (checked < 0) {
@@ -807,7 +780,7 @@ int run(int argc, char** argv) {
     gated += checked;
     if (gated == 0) {
         return fail("no gateable rows (sort_*, morton_encode_*, bitmap_bin_*, "
-                    "write.bat_build, read.serve_*, read.msgs_*, read.total_*, "
+                    "write.bat_build, read.serve_*, read.total_*, "
                     "series.*, prof.*) found");
     }
     std::printf("bench_check: OK (%zu entries, %d gated comparisons)\n", ns_op.size(),
