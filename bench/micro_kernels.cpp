@@ -24,6 +24,7 @@
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
+#include "workloads/boiler.hpp"
 #include "workloads/uniform.hpp"
 
 namespace bat {
@@ -235,6 +236,41 @@ int run_json_kernels(int argc, char** argv) {
                                 [&] { radix_order = radix_sort_order(codes, &pool); }),
             bytes, pool_threads);
         BAT_CHECK_MSG(radix_order == order, "pooled radix order diverged from std::sort");
+    }
+
+    // Clustered keys: Morton codes of a 1M-particle boiler step (dense
+    // injector jets, sparse elsewhere), sorted the way build_bat sorts them
+    // (grouped by the subprefix auto_subprefix picks at this size, 8 bits).
+    {
+        const std::size_t n = std::size_t{1} << 20;
+        BoilerConfig boiler;
+        boiler.particles_at_start = n;
+        boiler.particles_at_end = 9 * n;
+        const ParticleSet leaf = make_boiler_particles(boiler, boiler.t_start);
+        const Box leaf_bounds = leaf.bounds();
+        std::vector<std::uint64_t> codes(leaf.count());
+        for (std::size_t i = 0; i < codes.size(); ++i) {
+            codes[i] = morton_encode_position(leaf.position(i), leaf_bounds);
+        }
+        const std::uint64_t bytes = codes.size() * sizeof(std::uint64_t);
+        constexpr int kSubprefixBits = 8;
+        std::vector<std::uint32_t> order;
+        add("sort_std_clustered", codes.size(),
+            bench::best_seconds(kReps, [&] { order = std_sort_order(codes); }), bytes, 1);
+        PrefixGroups groups;
+        add("sort_radix_clustered_serial", codes.size(),
+            bench::best_seconds(
+                kReps,
+                [&] { groups = prefix_sort_order(codes, kMortonBits, kSubprefixBits, nullptr); }),
+            bytes, 1);
+        BAT_CHECK_MSG(groups.order == order, "clustered radix order diverged from std::sort");
+        add("sort_radix_clustered_pool", codes.size(),
+            bench::best_seconds(
+                kReps,
+                [&] { groups = prefix_sort_order(codes, kMortonBits, kSubprefixBits, &pool); }),
+            bytes, pool_threads);
+        BAT_CHECK_MSG(groups.order == order,
+                      "pooled clustered radix order diverged from std::sort");
     }
 
     // Encode + reorder + transfer on a 1M-particle set (4 attrs keeps setup fast).

@@ -1,3 +1,10 @@
+// build_bat stages, in order: attribute ranges/edges, Morton encode, the
+// Morton sort, treelet k-d builds, final particle reorder, bitmaps (each a
+// bat.* phase span). The sort is bucket-first (util/radix_sort): its
+// counting pass buckets by the shallow-tree subprefix, so the non-empty
+// buckets come out as the treelets' particle ranges, each already in Morton
+// order, and their subprefixes are the Karras tree's input.
+
 #include "core/bat_builder.hpp"
 
 #include <algorithm>
@@ -368,36 +375,9 @@ BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* po
         });
     }
 
-    // ---- Morton sort ------------------------------------------------------
-    // Parallel LSD radix sort (stable, ties broken by original index)
-    // replacing the serial comparison sort.
-    std::vector<std::uint32_t> order;
-    {
-        obs::PhaseSpan span("bat.sort", accum(&BatBuildTimings::sort));
-        order = radix_sort_order(codes, pool);
-    }
-
-    obs::PhaseSpan treelet_span("bat.treelets", accum(&BatBuildTimings::treelets));
-
-    // Gather positions and codes into Morton order, positions as 16-byte
-    // {x, y, z, rank} records: every later access (subprefix merge, treelet
-    // bounds, k-d medians, LOD swaps) then runs over contiguous memory —
-    // this is the only pass that gathers through the sort permutation.
-    std::vector<PosRecord> recs(n);
-    std::vector<std::uint64_t> sorted_codes(n);
-    parallel_ranges(pool, n, kGrain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const std::uint32_t src = order[i];
-            recs[i] = PosRecord{{xs[src], ys[src], zs[src]}, static_cast<std::uint32_t>(i)};
-            sorted_codes[i] = codes[src];
-        }
-    });
-    std::vector<float>().swap(xs);
-    std::vector<float>().swap(ys);
-    std::vector<float>().swap(zs);
-    std::vector<std::uint64_t>().swap(codes);
-
-    // ---- Shallow tree over merged subprefixes (§III-C1) -------------------
+    // ---- Morton sort, grouped by subprefix (§III-C1) ----------------------
+    // The sort's counting pass buckets by the subprefix itself, so its
+    // groups are the treelets' particle ranges and the shallow tree's keys.
     int subprefix_bits = config.subprefix_bits;
     if (config.auto_subprefix) {
         const double want_treelets = std::max(
@@ -407,20 +387,34 @@ BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* po
         subprefix_bits = std::clamp(bits, 1, config.subprefix_bits);
     }
     bat.config.subprefix_bits = subprefix_bits;
-    const int shift = kMortonBits - subprefix_bits;
-    std::vector<std::uint64_t> unique_prefixes;
-    std::vector<std::uint32_t> range_begin;  // per unique prefix
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t prefix = sorted_codes[i] >> shift;
-        if (unique_prefixes.empty() || unique_prefixes.back() != prefix) {
-            unique_prefixes.push_back(prefix);
-            range_begin.push_back(static_cast<std::uint32_t>(i));
-        }
+    PrefixGroups sorted;
+    {
+        obs::PhaseSpan span("bat.sort", accum(&BatBuildTimings::sort));
+        sorted = prefix_sort_order(codes, kMortonBits, subprefix_bits, pool);
     }
-    range_begin.push_back(static_cast<std::uint32_t>(n));
-    std::vector<std::uint64_t>().swap(sorted_codes);
+    const std::vector<std::uint32_t>& order = sorted.order;
+    const std::vector<std::uint32_t>& range_begin = sorted.begin;
 
-    const RadixTree radix = build_radix_tree(unique_prefixes, subprefix_bits, pool);
+    obs::PhaseSpan treelet_span("bat.treelets", accum(&BatBuildTimings::treelets));
+
+    // Gather positions into Morton order as 16-byte {x, y, z, rank}
+    // records: every later access (treelet bounds, k-d medians, LOD swaps)
+    // then runs over contiguous memory — this is the only pass that
+    // gathers through the sort permutation.
+    std::vector<PosRecord> recs(n);
+    parallel_ranges(pool, n, kGrain, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            const std::uint32_t src = order[i];
+            recs[i] = PosRecord{{xs[src], ys[src], zs[src]}, static_cast<std::uint32_t>(i)};
+        }
+    });
+    std::vector<float>().swap(xs);
+    std::vector<float>().swap(ys);
+    std::vector<float>().swap(zs);
+    std::vector<std::uint64_t>().swap(codes);
+
+    // ---- Shallow tree over merged subprefixes (§III-C1) -------------------
+    const RadixTree radix = build_radix_tree(sorted.prefixes, subprefix_bits, pool);
 
     // ---- Treelet builds (§III-C2) -----------------------------------------
     // The builds permute the Morton-ordered records in place; afterwards the
@@ -428,7 +422,7 @@ BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* po
     // sort to give the original index. The record values are exactly the
     // value sequences the original index-gathering build saw, so the k-d
     // recursion (nth_element, LOD swaps) produces a byte-identical tree.
-    const std::size_t num_treelets = unique_prefixes.size();
+    const std::size_t num_treelets = sorted.prefixes.size();
     bat.treelets.resize(num_treelets);
     BuildContext ctx{config, recs, bat.bounds};
     auto build_treelet = [&](std::size_t t) {

@@ -1,5 +1,6 @@
 #include "core/bat_file.hpp"
 
+#include <array>
 #include <cstring>
 #include <unordered_map>
 
@@ -48,93 +49,151 @@ Box box_from(const float b[6]) {
 
 }  // namespace
 
-std::vector<std::byte> serialize_bat(const BatData& bat, const BatDeltaSpec* delta) {
+namespace {
+
+/// Bytes of one inline treelet block before its page padding: the 16-byte
+/// block header, nodes, bitmap IDs, positions (4-aligned) and attribute
+/// arrays (8-aligned), as BatFile::treelet reads them back.
+std::uint64_t block_payload_bytes(std::size_t num_nodes, std::uint64_t num_points,
+                                  std::size_t nattrs) {
+    std::uint64_t sz = 16;
+    sz += num_nodes * sizeof(TreeletNode);
+    sz += num_nodes * nattrs * sizeof(std::uint16_t);
+    sz = (sz + 3) & ~std::uint64_t{3};
+    sz += 12 * num_points;
+    sz = (sz + 7) & ~std::uint64_t{7};
+    return sz + 8 * num_points * nattrs;
+}
+
+/// Zero bytes every padding segment points into (padding is always
+/// shorter than one treelet alignment).
+constexpr std::array<std::byte, kTreeletAlignment> kZeros{};
+
+/// The serialized form of one BAT as an ordered list of byte ranges. The
+/// constructor walks the v3 layout once: every offset is known when its
+/// range is appended, and the few ranges that refer back to later offsets
+/// (header, treelet directory) are owned members patched in place. Small
+/// tables are owned here; bulk payload ranges (shallow nodes, treelet
+/// nodes, positions, attribute arrays) point straight into the BatData,
+/// which must outlive the layout.
+class BatLayout {
+public:
+    BatLayout(const BatData& bat, const BatDeltaSpec* delta);
+    BatLayout(const BatLayout&) = delete;
+    BatLayout& operator=(const BatLayout&) = delete;
+
+    std::span<const std::span<const std::byte>> segments() const { return segments_; }
+    std::uint64_t size() const { return header_.file_size; }
+
+private:
+    void add(const void* data, std::size_t bytes) {
+        if (bytes > 0) {
+            segments_.emplace_back(static_cast<const std::byte*>(data), bytes);
+            size_ += bytes;
+        }
+    }
+    template <typename T>
+    void add_span(std::span<const T> s) {
+        add(s.data(), s.size_bytes());
+    }
+    void align_to(std::size_t alignment) {
+        add(kZeros.data(), (alignment - size_ % alignment) % alignment);
+    }
+
+    FileHeader header_;
+    BufferWriter tables_;  // attribute table + base file table
+    BitmapDictionary dict_;
+    std::vector<std::uint16_t> shallow_ids_;
+    std::vector<TreeletDirEntry> dir_;
+    std::vector<std::array<std::uint32_t, 4>> block_headers_;
+    std::vector<std::vector<std::uint16_t>> treelet_ids_;
+    std::vector<std::span<const std::byte>> segments_;
+    std::uint64_t size_ = 0;
+};
+
+BatLayout::BatLayout(const BatData& bat, const BatDeltaSpec* delta) {
     const std::size_t nattrs = bat.num_attrs();
+    const std::size_t num_treelets = bat.treelets.size();
     const bool has_refs = delta != nullptr && !delta->refs.empty();
     if (has_refs) {
-        BAT_CHECK_MSG(delta->refs.size() == bat.treelets.size(),
+        BAT_CHECK_MSG(delta->refs.size() == num_treelets,
                       "delta spec must cover every treelet");
     }
-    auto ref_of = [&](std::size_t t) {
-        return has_refs ? delta->refs[t] : DeltaRef{};
-    };
-    FileHeader header;
+    auto ref_of = [&](std::size_t t) { return has_refs ? delta->refs[t] : DeltaRef{}; };
     if (delta != nullptr && !delta->base_files.empty()) {
-        header.flags |= kBatFlagHasBases;
+        header_.flags |= kBatFlagHasBases;
     }
-    header.num_particles = bat.particles.count();
-    header.num_attrs = static_cast<std::uint32_t>(nattrs);
-    header.subprefix_bits = static_cast<std::uint32_t>(bat.config.subprefix_bits);
-    header.lod_per_inner = static_cast<std::uint32_t>(bat.config.lod_per_inner);
-    header.max_leaf_size = static_cast<std::uint32_t>(bat.config.max_leaf_size);
-    header.num_shallow_nodes = static_cast<std::uint32_t>(bat.shallow_nodes.size());
-    header.num_treelets = static_cast<std::uint32_t>(bat.treelets.size());
-    header.bounds[0] = bat.bounds.lower.x;
-    header.bounds[1] = bat.bounds.lower.y;
-    header.bounds[2] = bat.bounds.lower.z;
-    header.bounds[3] = bat.bounds.upper.x;
-    header.bounds[4] = bat.bounds.upper.y;
-    header.bounds[5] = bat.bounds.upper.z;
+    header_.num_particles = bat.particles.count();
+    header_.num_attrs = static_cast<std::uint32_t>(nattrs);
+    header_.subprefix_bits = static_cast<std::uint32_t>(bat.config.subprefix_bits);
+    header_.lod_per_inner = static_cast<std::uint32_t>(bat.config.lod_per_inner);
+    header_.max_leaf_size = static_cast<std::uint32_t>(bat.config.max_leaf_size);
+    header_.num_shallow_nodes = static_cast<std::uint32_t>(bat.shallow_nodes.size());
+    header_.num_treelets = static_cast<std::uint32_t>(num_treelets);
+    header_.bounds[0] = bat.bounds.lower.x;
+    header_.bounds[1] = bat.bounds.lower.y;
+    header_.bounds[2] = bat.bounds.lower.z;
+    header_.bounds[3] = bat.bounds.upper.x;
+    header_.bounds[4] = bat.bounds.upper.y;
+    header_.bounds[5] = bat.bounds.upper.z;
 
     // Intern every bitmap up front (shallow tree first: it lives at the
     // start of the file and is read on every query).
-    BitmapDictionary dict;
-    std::vector<std::uint16_t> shallow_ids(bat.shallow_bitmaps.size());
+    shallow_ids_.resize(bat.shallow_bitmaps.size());
     for (std::size_t i = 0; i < bat.shallow_bitmaps.size(); ++i) {
-        shallow_ids[i] = dict.intern(bat.shallow_bitmaps[i]);
+        shallow_ids_[i] = dict_.intern(bat.shallow_bitmaps[i]);
     }
     // Referenced treelets keep their bitmaps in the base file (their IDs
     // index the base's dictionary), so only inline treelets intern here.
-    std::vector<std::vector<std::uint16_t>> treelet_ids(bat.treelets.size());
-    for (std::size_t t = 0; t < bat.treelets.size(); ++t) {
+    treelet_ids_.resize(num_treelets);
+    for (std::size_t t = 0; t < num_treelets; ++t) {
         if (ref_of(t).base_file >= 0) {
             continue;
         }
         const Treelet& tr = bat.treelets[t];
-        treelet_ids[t].resize(tr.bitmaps.size());
+        treelet_ids_[t].resize(tr.bitmaps.size());
         for (std::size_t i = 0; i < tr.bitmaps.size(); ++i) {
-            treelet_ids[t][i] = dict.intern(tr.bitmaps[i]);
+            treelet_ids_[t][i] = dict_.intern(tr.bitmaps[i]);
         }
     }
-    header.dict_size = static_cast<std::uint32_t>(dict.entries().size());
-
-    BufferWriter w;
-    const std::size_t header_pos = w.size();
-    w.write(header);  // patched below once offsets are known
+    header_.dict_size = static_cast<std::uint32_t>(dict_.entries().size());
 
     for (std::size_t a = 0; a < nattrs; ++a) {
-        w.write_string(bat.particles.attr_names()[a]);
-        w.write(bat.attr_ranges[a].first);
-        w.write(bat.attr_ranges[a].second);
+        tables_.write_string(bat.particles.attr_names()[a]);
+        tables_.write(bat.attr_ranges[a].first);
+        tables_.write(bat.attr_ranges[a].second);
         // v2: bitmap bin edges (equal-width or equal-depth; §VII-A).
         BAT_CHECK(bat.attr_edges[a].size() == kBitmapBins + 1);
-        w.write_span(std::span<const double>(bat.attr_edges[a]));
+        tables_.write_span(std::span<const double>(bat.attr_edges[a]));
     }
-
-    if (header.flags & kBatFlagHasBases) {
-        w.write(static_cast<std::uint32_t>(delta->base_files.size()));
+    if (header_.flags & kBatFlagHasBases) {
+        tables_.write(static_cast<std::uint32_t>(delta->base_files.size()));
         for (const std::string& name : delta->base_files) {
-            w.write_string(name);
+            tables_.write_string(name);
         }
     }
 
-    w.align_to(8);
-    header.shallow_nodes_offset = w.size();
-    w.write_span(std::span<const ShallowNode>(bat.shallow_nodes));
+    add(&header_, sizeof(header_));  // offsets filled in below
+    add_span(std::span<const std::byte>(tables_.bytes()));
 
-    header.shallow_bitmap_ids_offset = w.size();
-    w.write_span(std::span<const std::uint16_t>(shallow_ids));
+    align_to(8);
+    header_.shallow_nodes_offset = size_;
+    add_span(std::span<const ShallowNode>(bat.shallow_nodes));
 
-    w.align_to(4);
-    header.dict_offset = w.size();
-    w.write_span(std::span<const std::uint32_t>(dict.entries()));
+    header_.shallow_bitmap_ids_offset = size_;
+    add_span(std::span<const std::uint16_t>(shallow_ids_));
 
-    w.align_to(8);
-    header.treelet_dir_offset = w.size();
-    const std::size_t dir_pos = w.size();
-    for (std::size_t t = 0; t < bat.treelets.size(); ++t) {
+    align_to(4);
+    header_.dict_offset = size_;
+    add_span(std::span<const std::uint32_t>(dict_.entries()));
+
+    align_to(8);
+    header_.treelet_dir_offset = size_;
+    dir_.resize(num_treelets);  // offsets filled in as blocks are placed
+    add_span(std::span<const TreeletDirEntry>(dir_));
+    for (std::size_t t = 0; t < num_treelets; ++t) {
         const Treelet& tr = bat.treelets[t];
-        TreeletDirEntry entry;  // offset patched once the treelet is placed
+        TreeletDirEntry& entry = dir_[t];
         entry.num_nodes = static_cast<std::uint32_t>(tr.nodes.size());
         entry.num_points = tr.num_particles;
         entry.bounds[0] = tr.bounds.lower.x;
@@ -147,46 +206,63 @@ std::vector<std::byte> serialize_bat(const BatData& bat, const BatDeltaSpec* del
         entry.first_particle = tr.first_particle;
         const DeltaRef ref = ref_of(t);
         if (ref.base_file >= 0) {
-            BAT_CHECK(static_cast<std::size_t>(ref.base_file) <
-                      delta->base_files.size());
+            BAT_CHECK(static_cast<std::size_t>(ref.base_file) < delta->base_files.size());
             entry.base_file = ref.base_file;
             entry.base_treelet = ref.base_treelet;
         }
-        w.write(entry);
     }
 
-    for (std::size_t t = 0; t < bat.treelets.size(); ++t) {
+    block_headers_.resize(num_treelets);
+    for (std::size_t t = 0; t < num_treelets; ++t) {
         if (ref_of(t).base_file >= 0) {
             continue;  // payload lives in the base file
         }
         const Treelet& tr = bat.treelets[t];
-        w.align_to(kTreeletAlignment);
-        const std::uint64_t offset = w.size();
-        w.patch(dir_pos + t * sizeof(TreeletDirEntry) + offsetof(TreeletDirEntry, offset),
-                offset);
-        w.write(kTreeletMagic);
-        w.write(static_cast<std::uint32_t>(tr.nodes.size()));
-        w.write(tr.num_particles);
-        w.write(std::uint32_t{0});
-        w.write_span(std::span<const TreeletNode>(tr.nodes));
-        w.write_span(std::span<const std::uint16_t>(treelet_ids[t]));
-        w.align_to(4);
-        const std::size_t p0 = 3 * tr.first_particle;
-        w.write_span(bat.particles.positions().subspan(p0, 3 * tr.num_particles));
-        w.align_to(8);
+        align_to(kTreeletAlignment);
+        const std::uint64_t block_start = size_;
+        dir_[t].offset = block_start;
+        block_headers_[t] = {kTreeletMagic, static_cast<std::uint32_t>(tr.nodes.size()),
+                             tr.num_particles, 0};
+        add(block_headers_[t].data(), sizeof(block_headers_[t]));
+        add_span(std::span<const TreeletNode>(tr.nodes));
+        add_span(std::span<const std::uint16_t>(treelet_ids_[t]));
+        align_to(4);
+        add_span(bat.particles.positions().subspan(3 * tr.first_particle,
+                                                   3 * tr.num_particles));
+        align_to(8);
         for (std::size_t a = 0; a < nattrs; ++a) {
-            w.write_span(bat.particles.attr(a).subspan(tr.first_particle, tr.num_particles));
+            add_span(bat.particles.attr(a).subspan(tr.first_particle, tr.num_particles));
         }
+        BAT_CHECK(size_ - block_start ==
+                  block_payload_bytes(tr.nodes.size(), tr.num_particles, nattrs));
     }
-
-    header.file_size = w.size();
-    w.patch(header_pos, header);
-    return w.take();
+    header_.file_size = size_;
 }
 
-void write_bat_file(const std::filesystem::path& path, const BatData& bat) {
-    const std::vector<std::byte> bytes = serialize_bat(bat);
-    write_file(path, bytes);
+}  // namespace
+
+std::uint64_t treelet_block_bytes(const Treelet& treelet, std::size_t nattrs) {
+    const std::uint64_t sz =
+        block_payload_bytes(treelet.nodes.size(), treelet.num_particles, nattrs);
+    return (sz + kTreeletAlignment - 1) & ~std::uint64_t{kTreeletAlignment - 1};
+}
+
+std::vector<std::byte> serialize_bat(const BatData& bat, const BatDeltaSpec* delta) {
+    const BatLayout layout(bat, delta);
+    std::vector<std::byte> bytes(layout.size());
+    std::byte* out = bytes.data();
+    for (const std::span<const std::byte> segment : layout.segments()) {
+        std::memcpy(out, segment.data(), segment.size());
+        out += segment.size();
+    }
+    return bytes;
+}
+
+std::uint64_t write_bat_file(const std::filesystem::path& path, const BatData& bat,
+                             const BatDeltaSpec* delta) {
+    const BatLayout layout(bat, delta);
+    write_file_gather(path, layout.segments());
+    return layout.size();
 }
 
 BatSizeStats bat_size_stats(const BatData& bat, std::uint64_t file_bytes) {

@@ -34,6 +34,15 @@
 // bytes (references are flattened, never chained through intermediate
 // delta files), so resolution is one hop per treelet and the set of live
 // base files is bounded by the keyframe interval.
+//
+// One layout routine describes a file as an ordered list of byte ranges:
+// header and small tables it owns, and bulk payload (shallow nodes, treelet
+// nodes, positions, attribute arrays) pointing straight into the BatData,
+// with every offset computed before its range is emitted. It has two
+// sinks: serialize_bat concatenates the ranges into one exactly sized
+// vector (in-memory callers), and write_bat_file gathers them to disk with
+// writev (the aggregators' leaf files), so writing a leaf file copies its
+// payload only into the page cache.
 
 #include <cstdint>
 #include <filesystem>
@@ -111,13 +120,22 @@ struct BatDeltaSpec {
     std::vector<DeltaRef> refs;
 };
 
-/// Serialize a built BAT into its on-disk byte layout. With a delta spec,
-/// referenced treelets contribute only their 56-byte directory entry.
+/// Serialize a built BAT into its on-disk byte layout, in memory. With a
+/// delta spec, referenced treelets contribute only their 56-byte directory
+/// entry.
 std::vector<std::byte> serialize_bat(const BatData& bat,
                                      const BatDeltaSpec* delta = nullptr);
 
-/// Convenience: serialize and write to `path`.
-void write_bat_file(const std::filesystem::path& path, const BatData& bat);
+/// Write the same bytes serialize_bat returns to `path`, gathered straight
+/// from `bat` (no staging buffer). Returns the file size. Throws bat::Error
+/// naming the path on any I/O failure.
+std::uint64_t write_bat_file(const std::filesystem::path& path, const BatData& bat,
+                             const BatDeltaSpec* delta = nullptr);
+
+/// Bytes treelet `treelet` occupies as an inline block of a BAT file with
+/// `nattrs` attributes, including the padding to the next page boundary —
+/// what a delta reference saves by not storing it.
+std::uint64_t treelet_block_bytes(const Treelet& treelet, std::size_t nattrs);
 
 /// Size statistics of a serialized BAT, for the paper's §VI-B memory
 /// overhead evaluation (layout overhead ≈ 0.9% of raw data).

@@ -36,20 +36,6 @@ std::vector<double> transfer_size_bounds() {
 /// referenced treelet lives; bounded by the keyframe interval).
 std::vector<double> chain_len_bounds() { return {1, 2, 4, 8, 16, 32}; }
 
-/// Bytes an inline treelet block occupies on disk (including the 4 KB
-/// alignment every block pays), for the write.delta_bytes_saved estimate.
-std::uint64_t inline_treelet_bytes(const Treelet& tr, std::size_t nattrs) {
-    std::uint64_t sz = 16;  // magic + counts header
-    sz += tr.nodes.size() * sizeof(TreeletNode);
-    sz += tr.nodes.size() * nattrs * 2;  // bitmap IDs
-    sz = (sz + 3) & ~std::uint64_t{3};
-    sz += 12ull * tr.num_particles;  // f32 xyz
-    sz = (sz + 7) & ~std::uint64_t{7};
-    sz += 8ull * tr.num_particles * nattrs;
-    const std::uint64_t align = kTreeletAlignment;
-    return (sz + align - 1) & ~(align - 1);
-}
-
 }  // namespace
 
 // Transfer-plumbing types live in io_detail (not the anonymous namespace)
@@ -498,9 +484,7 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
         obs::PhaseSpan span("write.file_write", &timings.file_write);
         const std::string own_file = leaf_file_name(config.basename, leaf_id);
         if (!delta_enabled) {
-            const std::vector<std::byte> bytes = serialize_bat(bat);
-            write_file(config.directory / own_file, bytes);
-            result.bytes_written += bytes.size();
+            result.bytes_written += write_bat_file(config.directory / own_file, bat);
             my_reports.push_back(std::move(report));
             continue;
         }
@@ -525,7 +509,7 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
                     spec.base_files.push_back(st.treelet_file[t]);
                 }
                 spec.refs[t] = DeltaRef{it->second, st.treelet_index[t]};
-                saved += inline_treelet_bytes(tr, nattrs);
+                saved += treelet_block_bytes(tr, nattrs);
                 ++clean;
             }
         }
@@ -548,10 +532,8 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
                 max_age = std::max(max_age, ++st.ages[t]);
             }
         } else {
-            const std::vector<std::byte> bytes =
-                serialize_bat(bat, clean > 0 ? &spec : nullptr);
-            write_file(config.directory / own_file, bytes);
-            result.bytes_written += bytes.size();
+            result.bytes_written += write_bat_file(config.directory / own_file, bat,
+                                                   clean > 0 ? &spec : nullptr);
 
             st.hashes.resize(num_treelets);
             st.num_points.resize(num_treelets);
@@ -696,10 +678,8 @@ WriteResult write_particles_serial(std::span<const ParticleSet> per_rank,
             merged.append(per_rank[static_cast<std::size_t>(r)]);
         }
         BatData bat = build_bat(std::move(merged), config.bat, config.pool);
-        const std::vector<std::byte> bytes = serialize_bat(bat);
         const std::string file = leaf_file_name(config.basename, static_cast<int>(leaf_id));
-        write_file(config.directory / file, bytes);
-        result.bytes_written += bytes.size();
+        result.bytes_written += write_bat_file(config.directory / file, bat);
         files.push_back(file);
 
         LeafReport report;

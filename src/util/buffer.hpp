@@ -48,22 +48,6 @@ public:
         buf_.insert(buf_.end(), p, p + s.size());
     }
 
-    /// Pad with zero bytes so size() becomes a multiple of `alignment`.
-    void align_to(std::size_t alignment) {
-        const std::size_t rem = buf_.size() % alignment;
-        if (rem != 0) {
-            buf_.insert(buf_.end(), alignment - rem, std::byte{0});
-        }
-    }
-
-    /// Overwrite a previously-written POD at `offset` (for back-patching).
-    template <typename T>
-    void patch(std::size_t offset, const T& v) {
-        static_assert(std::is_trivially_copyable_v<T>);
-        BAT_CHECK(offset + sizeof(T) <= buf_.size());
-        std::memcpy(buf_.data() + offset, &v, sizeof(T));
-    }
-
     std::size_t size() const { return buf_.size(); }
     const std::vector<std::byte>& bytes() const { return buf_; }
     std::vector<std::byte> take() { return std::move(buf_); }

@@ -3,15 +3,30 @@
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
+#include <system_error>
 
 #include "util/check.hpp"
 
 namespace bat {
+
+namespace {
+
+#ifdef IOV_MAX
+constexpr std::size_t kMaxIov = IOV_MAX;
+#else
+constexpr std::size_t kMaxIov = 1024;  // POSIX minimum is 16; Linux allows 1024
+#endif
+
+}  // namespace
 
 MappedFile::MappedFile(const std::filesystem::path& path) {
     const int fd = ::open(path.c_str(), O_RDONLY);
@@ -59,15 +74,61 @@ void MappedFile::close() {
     }
 }
 
-void write_file(const std::filesystem::path& path, std::span<const std::byte> bytes) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    BAT_CHECK_MSG(f != nullptr, "fopen(" << path << ") failed: " << std::strerror(errno));
-    std::size_t written = 0;
-    if (!bytes.empty()) {
-        written = std::fwrite(bytes.data(), 1, bytes.size(), f);
+void write_file_gather(const std::filesystem::path& path,
+                       std::span<const std::span<const std::byte>> segments) {
+    // generic_category().message is strerror's text without its shared buffer.
+    auto reason = [](int err) { return std::generic_category().message(err); };
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+    if (fd < 0) {
+        const int err = errno;
+        BAT_FAIL("open(" << path << ") for writing failed: " << reason(err));
     }
-    const int rc = std::fclose(f);
-    BAT_CHECK_MSG(written == bytes.size() && rc == 0, "short write to " << path);
+    std::array<iovec, kMaxIov> iov;
+    std::size_t next = 0;  // first segment not yet fully written
+    std::size_t done = 0;  // bytes of segments[next] already written
+    for (;;) {
+        while (next < segments.size() && done == segments[next].size()) {
+            ++next;
+            done = 0;
+        }
+        if (next == segments.size()) {
+            break;
+        }
+        std::size_t count = 0;
+        for (std::size_t s = next; s < segments.size() && count < iov.size(); ++s) {
+            const std::size_t skip = s == next ? done : 0;
+            iov[count].iov_base = const_cast<std::byte*>(segments[s].data() + skip);
+            iov[count].iov_len = segments[s].size() - skip;
+            ++count;
+        }
+        const ssize_t written = ::writev(fd, iov.data(), static_cast<int>(count));
+        if (written < 0 && errno == EINTR) {
+            continue;
+        }
+        if (written <= 0) {
+            const int err = written == 0 ? EIO : errno;  // 0: no progress on a non-empty request
+            ::close(fd);
+            BAT_FAIL("write to " << path << " failed: " << reason(err));
+        }
+        // Consume `written` bytes; a partial write resumes mid-segment.
+        for (auto left = static_cast<std::size_t>(written); left > 0;) {
+            const std::size_t step = std::min(left, segments[next].size() - done);
+            done += step;
+            left -= step;
+            if (done == segments[next].size()) {
+                ++next;
+                done = 0;
+            }
+        }
+    }
+    if (::close(fd) != 0 && errno != EINTR) {
+        const int err = errno;
+        BAT_FAIL("close of " << path << " failed: " << reason(err));
+    }
+}
+
+void write_file(const std::filesystem::path& path, std::span<const std::byte> bytes) {
+    write_file_gather(path, std::span(&bytes, 1));
 }
 
 std::vector<std::byte> read_file(const std::filesystem::path& path) {

@@ -2,7 +2,7 @@
 // Memory-mapped read access to BAT files. The on-disk layout (4 KB-aligned
 // treelets, paper Fig 2) is designed so visualization reads can mmap the
 // file and let the OS page cache serve frequently-accessed regions
-// (paper §V). Also provides plain buffered whole-file read/write helpers.
+// (paper §V). Also provides whole-file read and (gather) write helpers.
 
 #include <cstddef>
 #include <filesystem>
@@ -36,8 +36,14 @@ private:
     std::size_t size_ = 0;
 };
 
-/// Write `bytes` to `path` atomically enough for our purposes (truncate +
-/// single write). Throws bat::Error on failure.
+/// Create or truncate `path` (mode 0666 & ~umask, as fopen) and write the
+/// concatenation of `segments` with writev, IOV_MAX ranges per call,
+/// resuming after partial writes and EINTR. Throws bat::Error naming the
+/// path and the system error on failure.
+void write_file_gather(const std::filesystem::path& path,
+                       std::span<const std::span<const std::byte>> segments);
+
+/// Write `bytes` to `path` (truncate + write; see write_file_gather).
 void write_file(const std::filesystem::path& path, std::span<const std::byte> bytes);
 
 /// Read an entire file into memory. Throws bat::Error on failure.

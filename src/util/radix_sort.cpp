@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <bit>
 #include <cstring>
-#include <numeric>
+#include <functional>
 
 #include "util/check.hpp"
 
@@ -11,199 +13,283 @@ namespace bat {
 
 namespace {
 
-// 11-bit digits: 6 passes cover 64-bit keys (vs 8 with bytes) and the
-// 2048-entry count tables still live comfortably in L1.
-constexpr int kDigitBits = 11;
-constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
-constexpr std::uint64_t kDigitMask = kBuckets - 1;
-constexpr int kMaxPasses = (64 + kDigitBits - 1) / kDigitBits;
-
-/// Below this size a comparison sort wins over pass setup costs.
-constexpr std::size_t kComparisonCutoff = 256;
+/// Widest field the counting pass buckets by: 4096 count slots (16 KB)
+/// stay in L1 while the scatter still spreads the data finely enough that
+/// the typical bucket is cache-resident for its finishing sort.
+constexpr int kMaxBucketBits = 12;
+/// MSD digit width inside a bucket: 256 slots, so the per-level tables of
+/// the whole recursion (at most 8 levels) fit on the stack.
+constexpr int kDigitBits = 8;
+constexpr std::size_t kDigits = std::size_t{1} << kDigitBits;
+/// Below this size insertion sort beats another counting level.
+constexpr std::size_t kInsertionCutoff = 48;
 /// Minimum elements per parallel block; below ~2 blocks the serial path
 /// avoids task overhead.
 constexpr std::size_t kMinBlock = std::size_t{1} << 15;
 
-inline std::size_t digit_of(std::uint64_t key, int shift) {
-    return static_cast<std::size_t>((key >> shift) & kDigitMask);
+bool parallel(const ThreadPool* pool, std::size_t n) {
+    return pool != nullptr && pool->num_threads() > 0 && n >= 2 * kMinBlock;
 }
 
-/// Digits where at least two keys differ, derived from the bytewise
-/// OR/AND aggregates: a pass is a no-op exactly when every key shares the
-/// same digit value there (or == and in that byte).
-std::vector<int> active_shifts(std::uint64_t key_or, std::uint64_t key_and) {
-    std::vector<int> shifts;
+/// Stable: compares keys only, so equal keys keep their order.
+void insertion_sort(KeyIndex* a, std::size_t n) {
+    for (std::size_t i = 1; i < n; ++i) {
+        const KeyIndex v = a[i];
+        std::size_t j = i;
+        for (; j > 0 && a[j - 1].key > v.key; --j) {
+            a[j] = a[j - 1];
+        }
+        a[j] = v;
+    }
+}
+
+/// Stable MSD radix sort of a[0, n) by key; `tmp` has room for n records.
+/// Each level sorts by the 8-bit digit that starts at the highest bit where
+/// the range's keys differ, so constant digits cost nothing and a range of
+/// equal keys is already in (stable) order.
+void msd_sort(KeyIndex* a, KeyIndex* tmp, std::size_t n) {
+    if (n <= kInsertionCutoff) {
+        insertion_sort(a, n);
+        return;
+    }
+    std::uint64_t key_or = 0;
+    std::uint64_t key_and = ~std::uint64_t{0};
+    for (std::size_t i = 0; i < n; ++i) {
+        key_or |= a[i].key;
+        key_and &= a[i].key;
+    }
     const std::uint64_t diff = key_or ^ key_and;
-    for (int shift = 0; shift < 64; shift += kDigitBits) {
-        if ((diff >> shift) & kDigitMask) {
-            shifts.push_back(shift);
-        }
+    if (diff == 0) {
+        return;
     }
-    return shifts;
-}
-
-/// Serial path. Digit counts are permutation-invariant, so `counts` (one
-/// table per fixed pass position, filled during the single or/and pre-scan)
-/// serves every pass — no per-pass counting read over the data.
-void serial_radix(std::span<KeyIndex> pairs, std::span<const int> shifts,
-                  std::vector<std::array<std::uint32_t, kBuckets>>& counts) {
-    const std::size_t n = pairs.size();
-    std::vector<KeyIndex> scratch(n);
-    KeyIndex* src = pairs.data();
-    KeyIndex* dst = scratch.data();
-    for (int shift : shifts) {
-        auto& count = counts[static_cast<std::size_t>(shift / kDigitBits)];
-        std::uint32_t run = 0;
-        for (std::size_t d = 0; d < kBuckets; ++d) {
-            const std::uint32_t c = count[d];
-            count[d] = run;
-            run += c;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            dst[count[digit_of(src[i].key, shift)]++] = src[i];
-        }
-        std::swap(src, dst);
+    const int shift = std::max(0, static_cast<int>(std::bit_width(diff)) - kDigitBits);
+    std::array<std::uint32_t, kDigits> count{};
+    for (std::size_t i = 0; i < n; ++i) {
+        ++count[(a[i].key >> shift) & (kDigits - 1)];
     }
-    if (src != pairs.data()) {
-        std::memcpy(pairs.data(), src, n * sizeof(KeyIndex));
+    std::array<std::uint32_t, kDigits> cursor;
+    std::uint32_t run = 0;
+    for (std::size_t d = 0; d < kDigits; ++d) {
+        cursor[d] = run;
+        run += count[d];
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        tmp[cursor[(a[i].key >> shift) & (kDigits - 1)]++] = a[i];
+    }
+    std::memcpy(a, tmp, n * sizeof(KeyIndex));
+    if (shift == 0) {
+        return;  // every digit run holds equal keys
+    }
+    std::uint32_t lo = 0;
+    for (std::size_t d = 0; d < kDigits; ++d) {
+        if (count[d] > 1) {
+            msd_sort(a + lo, tmp + lo, count[d]);
+        }
+        lo += count[d];
     }
 }
 
-void parallel_radix(std::span<KeyIndex> pairs, std::span<const int> shifts,
-                    ThreadPool& pool) {
-    const std::size_t n = pairs.size();
+/// Bits where at least two of the n keys differ (OR ^ AND of all keys).
+template <typename KeyAt>
+std::uint64_t differing_bits(std::size_t n, const KeyAt& key_at, ThreadPool* pool) {
+    if (n == 0) {
+        return 0;
+    }
+    std::atomic<std::uint64_t> key_or{0};
+    std::atomic<std::uint64_t> key_and{~std::uint64_t{0}};
+    parallel_ranges(parallel(pool, n) ? pool : nullptr, n, kMinBlock,
+                    [&](std::size_t lo, std::size_t hi) {
+                        std::uint64_t o = 0;
+                        std::uint64_t a = ~std::uint64_t{0};
+                        for (std::size_t i = lo; i < hi; ++i) {
+                            o |= key_at(i);
+                            a &= key_at(i);
+                        }
+                        key_or.fetch_or(o);
+                        key_and.fetch_and(a);
+                    });
+    return key_or.load() ^ key_and.load();
+}
+
+/// The stable counting pass: scatters record i = rec(i) of n into `out` by
+/// the bucket field (key >> shift) masked to `bits`. The keys must agree on
+/// every bit above the field. Returns the 2^bits + 1 bucket boundaries.
+template <typename RecAt>
+std::vector<std::uint32_t> bucket_pass(std::size_t n, const RecAt& rec, int shift, int bits,
+                                       KeyIndex* out, ThreadPool* pool) {
+    const std::size_t nb = std::size_t{1} << bits;
+    const std::uint64_t mask = nb - 1;
+    auto bucket = [&](std::uint64_t key) {
+        return static_cast<std::size_t>((key >> shift) & mask);
+    };
     // Fixed block decomposition: the same input always produces the same
     // blocks and scatter offsets, so output does not depend on scheduling.
-    const std::size_t max_blocks = 4 * (pool.num_threads() + 1);
-    const std::size_t nblocks = std::clamp<std::size_t>(n / kMinBlock, 1, max_blocks);
-    auto block_lo = [&](std::size_t b) { return b * n / nblocks; };
-
-    std::vector<KeyIndex> scratch(n);
-    std::vector<std::array<std::uint32_t, kBuckets>> hist(nblocks);
-    KeyIndex* src = pairs.data();
-    KeyIndex* dst = scratch.data();
-    for (int shift : shifts) {
-        pool.parallel_for(
-            0, nblocks,
-            [&](std::size_t b) {
-                auto& h = hist[b];
-                h.fill(0);
-                const std::size_t hi = block_lo(b + 1);
-                for (std::size_t i = block_lo(b); i < hi; ++i) {
-                    ++h[digit_of(src[i].key, shift)];
-                }
-            },
-            1);
-        // Exclusive scan in (digit, block) order: stable across blocks.
-        std::uint32_t run = 0;
-        for (std::size_t d = 0; d < kBuckets; ++d) {
-            for (std::size_t b = 0; b < nblocks; ++b) {
-                const std::uint32_t c = hist[b][d];
-                hist[b][d] = run;
-                run += c;
-            }
+    const std::size_t nblocks =
+        parallel(pool, n)
+            ? std::clamp<std::size_t>(n / kMinBlock, 1, 4 * (pool->num_threads() + 1))
+            : 1;
+    auto for_blocks = [&](const std::function<void(std::size_t)>& f) {
+        if (nblocks == 1) {
+            f(0);
+        } else {
+            pool->parallel_for(0, nblocks, f, 1);
         }
-        pool.parallel_for(
-            0, nblocks,
-            [&](std::size_t b) {
-                auto& offset = hist[b];  // this block's scatter cursors
-                const std::size_t hi = block_lo(b + 1);
-                for (std::size_t i = block_lo(b); i < hi; ++i) {
-                    dst[offset[digit_of(src[i].key, shift)]++] = src[i];
-                }
-            },
-            1);
-        std::swap(src, dst);
+    };
+    auto block_lo = [&](std::size_t blk) { return blk * n / nblocks; };
+    std::vector<std::uint32_t> hist(nblocks * nb, 0);
+    for_blocks([&](std::size_t blk) {
+        std::uint32_t* h = hist.data() + blk * nb;
+        for (std::size_t i = block_lo(blk), hi = block_lo(blk + 1); i < hi; ++i) {
+            ++h[bucket(rec(i).key)];
+        }
+    });
+    // Exclusive scan in (bucket, block) order: stable across blocks.
+    std::vector<std::uint32_t> starts(nb + 1);
+    std::uint32_t run = 0;
+    for (std::size_t b = 0; b < nb; ++b) {
+        starts[b] = run;
+        for (std::size_t blk = 0; blk < nblocks; ++blk) {
+            const std::uint32_t c = hist[blk * nb + b];
+            hist[blk * nb + b] = run;
+            run += c;
+        }
     }
-    if (src != pairs.data()) {
-        std::memcpy(pairs.data(), src, n * sizeof(KeyIndex));
+    starts[nb] = run;
+    for_blocks([&](std::size_t blk) {
+        std::uint32_t* cursor = hist.data() + blk * nb;  // this block's row
+        for (std::size_t i = block_lo(blk), hi = block_lo(blk + 1); i < hi; ++i) {
+            const KeyIndex r = rec(i);
+            out[cursor[bucket(r.key)]++] = r;
+        }
+    });
+    return starts;
+}
+
+/// Indices of the non-empty buckets.
+std::vector<std::uint32_t> nonempty_buckets(const std::vector<std::uint32_t>& starts) {
+    std::vector<std::uint32_t> ids;
+    for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
+        if (starts[b + 1] > starts[b]) {
+            ids.push_back(static_cast<std::uint32_t>(b));
+        }
     }
+    return ids;
+}
+
+/// Finish every non-empty bucket with msd_sort, then call done(k, lo, hi)
+/// for the k-th non-empty bucket [lo, hi) in the same task, while its
+/// records are still in cache. Pooled, the buckets are cut into chunks of
+/// about equal record counts; the sorted bytes do not depend on the cut.
+template <typename Done>
+void sort_buckets(KeyIndex* pairs, const std::vector<std::uint32_t>& starts,
+                  const std::vector<std::uint32_t>& ids, ThreadPool* pool, const Done& done) {
+    auto run = [&](std::size_t k_lo, std::size_t k_hi) {
+        std::size_t widest = 0;
+        for (std::size_t k = k_lo; k < k_hi; ++k) {
+            widest = std::max<std::size_t>(widest, starts[ids[k] + 1] - starts[ids[k]]);
+        }
+        std::vector<KeyIndex> tmp(widest > kInsertionCutoff ? widest : 0);
+        for (std::size_t k = k_lo; k < k_hi; ++k) {
+            const std::uint32_t lo = starts[ids[k]];
+            const std::uint32_t hi = starts[ids[k] + 1];
+            msd_sort(pairs + lo, tmp.data(), hi - lo);
+            done(k, lo, hi);
+        }
+    };
+    const std::size_t n = starts.back();
+    if (!parallel(pool, n)) {
+        run(0, ids.size());
+        return;
+    }
+    const std::size_t nchunks = 4 * (pool->num_threads() + 1);
+    auto first = [&](std::size_t c) {  // first bucket starting at or after c's share
+        const std::size_t at = c * n / nchunks;
+        return static_cast<std::size_t>(
+            std::partition_point(ids.begin(), ids.end(),
+                                 [&](std::uint32_t b) { return starts[b] < at; }) -
+            ids.begin());
+    };
+    pool->parallel_for(0, nchunks, [&](std::size_t c) { run(first(c), first(c + 1)); }, 1);
 }
 
 }  // namespace
 
 void radix_sort_pairs(std::span<KeyIndex> pairs, ThreadPool* pool) {
     const std::size_t n = pairs.size();
-    if (n < 2) {
-        return;
+    const std::uint64_t diff =
+        differing_bits(n, [&](std::size_t i) { return pairs[i].key; }, pool);
+    if (diff == 0) {
+        return;  // n < 2 or equal keys: already in stable order
     }
-    if (n <= kComparisonCutoff) {
-        std::sort(pairs.begin(), pairs.end(), [](const KeyIndex& a, const KeyIndex& b) {
-            return a.key != b.key ? a.key < b.key : a.index < b.index;
-        });
-        return;
-    }
-    const bool parallel = pool != nullptr && pool->num_threads() > 0 && n >= 2 * kMinBlock;
-    std::uint64_t key_or = 0;
-    std::uint64_t key_and = ~std::uint64_t{0};
-    if (parallel) {
-        const std::size_t nchunks =
-            std::clamp<std::size_t>(n / kMinBlock, 1, 4 * (pool->num_threads() + 1));
-        std::vector<std::uint64_t> ors(nchunks, 0);
-        std::vector<std::uint64_t> ands(nchunks, ~std::uint64_t{0});
-        pool->parallel_for(
-            0, nchunks,
-            [&](std::size_t c) {
-                const std::size_t hi = (c + 1) * n / nchunks;
-                std::uint64_t o = 0;
-                std::uint64_t a = ~std::uint64_t{0};
-                for (std::size_t i = c * n / nchunks; i < hi; ++i) {
-                    o |= pairs[i].key;
-                    a &= pairs[i].key;
-                }
-                ors[c] = o;
-                ands[c] = a;
-            },
-            1);
-        for (std::size_t c = 0; c < nchunks; ++c) {
-            key_or |= ors[c];
-            key_and &= ands[c];
-        }
-        const std::vector<int> shifts = active_shifts(key_or, key_and);
-        if (!shifts.empty()) {
-            parallel_radix(pairs, shifts, *pool);
-        }
-        return;
-    }
-    // Serial: one fused pre-scan computes or/and plus the digit counts of
-    // every pass (counts are permutation-invariant, so they stay valid for
-    // later passes over reordered data).
-    std::vector<std::array<std::uint32_t, kBuckets>> counts(kMaxPasses);
-    for (auto& c : counts) {
-        c.fill(0);
-    }
-    for (const KeyIndex& p : pairs) {
-        key_or |= p.key;
-        key_and &= p.key;
-        for (int j = 0; j < kMaxPasses; ++j) {
-            ++counts[static_cast<std::size_t>(j)][digit_of(p.key, j * kDigitBits)];
-        }
-    }
-    const std::vector<int> shifts = active_shifts(key_or, key_and);
-    if (!shifts.empty()) {
-        serial_radix(pairs, shifts, counts);
-    }
+    // Bucket by the top (up to) 12 of the bits where the keys differ.
+    const int key_bits = static_cast<int>(std::bit_width(diff));
+    const int bits = std::min(key_bits, kMaxBucketBits);
+    const std::vector<KeyIndex> in(pairs.begin(), pairs.end());
+    const auto starts = bucket_pass(
+        n, [&](std::size_t i) { return in[i]; }, key_bits - bits, bits, pairs.data(), pool);
+    sort_buckets(pairs.data(), starts, nonempty_buckets(starts), pool,
+                 [](std::size_t, std::uint32_t, std::uint32_t) {});
 }
 
 std::vector<std::uint32_t> radix_sort_order(std::span<const std::uint64_t> keys,
                                             ThreadPool* pool) {
+    // The bits above the highest differing bit agree across all keys.
+    const std::uint64_t diff =
+        differing_bits(keys.size(), [&](std::size_t i) { return keys[i]; }, pool);
+    const int key_bits = std::max(1, static_cast<int>(std::bit_width(diff)));
+    return prefix_sort_order(keys, key_bits, std::min(key_bits, kMaxBucketBits), pool).order;
+}
+
+PrefixGroups prefix_sort_order(std::span<const std::uint64_t> keys, int key_bits,
+                               int prefix_bits, ThreadPool* pool) {
     const std::size_t n = keys.size();
     BAT_CHECK_MSG(n <= static_cast<std::size_t>(UINT32_MAX),
-                  "radix_sort_order indexes with 32 bits");
+                  "prefix_sort_order indexes with 32 bits");
+    BAT_CHECK(key_bits >= 1 && key_bits <= 64);
+    BAT_CHECK(prefix_bits >= 1 && prefix_bits <= key_bits);
+    const int bits = std::min(prefix_bits, kMaxBucketBits);
+    const int shift = key_bits - bits;
+    const int group_shift = key_bits - prefix_bits;
+
+    PrefixGroups groups;
+    groups.order.resize(n);
     std::vector<KeyIndex> pairs(n);
-    parallel_ranges(pool, n, kMinBlock, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            pairs[i] = KeyIndex{keys[i], static_cast<std::uint32_t>(i)};
+    const auto starts = bucket_pass(
+        n, [&](std::size_t i) { return KeyIndex{keys[i], static_cast<std::uint32_t>(i)}; },
+        shift, bits, pairs.data(), pool);
+    const std::vector<std::uint32_t> ids = nonempty_buckets(starts);
+    // Prefixes longer than the bucket field split a sorted bucket further;
+    // the split points are found in the bucket's own task.
+    std::vector<std::vector<std::uint32_t>> splits(prefix_bits > bits ? ids.size() : 0);
+    sort_buckets(pairs.data(), starts, ids, pool,
+                 [&](std::size_t k, std::uint32_t lo, std::uint32_t hi) {
+                     for (std::uint32_t i = lo; i < hi; ++i) {
+                         groups.order[i] = pairs[i].index;
+                     }
+                     if (splits.empty()) {
+                         return;
+                     }
+                     for (std::uint32_t i = lo + 1; i < hi; ++i) {
+                         if ((pairs[i].key >> group_shift) !=
+                             (pairs[i - 1].key >> group_shift)) {
+                             splits[k].push_back(i);
+                         }
+                     }
+                 });
+    auto add_group = [&](std::uint32_t at) {
+        groups.prefixes.push_back(pairs[at].key >> group_shift);
+        groups.begin.push_back(at);
+    };
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        add_group(starts[ids[k]]);
+        if (!splits.empty()) {
+            for (const std::uint32_t at : splits[k]) {
+                add_group(at);
+            }
         }
-    });
-    radix_sort_pairs(pairs, pool);
-    std::vector<std::uint32_t> order(n);
-    parallel_ranges(pool, n, kMinBlock, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            order[i] = pairs[i].index;
-        }
-    });
-    return order;
+    }
+    groups.begin.push_back(static_cast<std::uint32_t>(n));
+    return groups;
 }
 
 }  // namespace bat

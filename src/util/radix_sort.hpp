@@ -1,13 +1,19 @@
 #pragma once
-// Parallel LSD radix sort over (64-bit key, 32-bit index) pairs — the
+// Bucket-first radix sort over (64-bit key, 32-bit index) pairs — the
 // Morton-ordering hot path of the BAT build (paper §III-C; Burstedde's
-// parallel tree algorithms identify the sort/partition steps as the
-// scalable core of such builds). The sort is stable in the keys, processes
-// one 11-bit digit per pass (6 passes cover 64 bits), skips passes whose
-// digit is constant across all keys, and splits histogram/scatter work into
-// per-block tasks on a ThreadPool. Block decomposition and scatter offsets
-// are fixed up front, so the result is byte-identical regardless of thread
-// count or schedule.
+// parallel tree algorithms likewise do local per-tree work inside a coarse
+// space-filling-curve partition).
+//
+// One stable counting pass scatters the records into at most 4096 buckets
+// by a 12-bit (or shorter) field of the key — for the BAT build that field
+// is the Morton subprefix, so the non-empty buckets are exactly the
+// treelets. Each bucket then finishes with a stable MSD radix sort (8-bit
+// digits starting at the bucket's highest differing bit, insertion sort
+// below 48 records) while it is cache-resident. With a pool, the bucket
+// pass splits its histogram/scatter work into a fixed block decomposition
+// and the bucket sorts run as one parallel_for; blocks, scatter offsets and
+// per-bucket work are fixed up front, so the result is byte-identical
+// regardless of thread count or schedule.
 
 #include <cstdint>
 #include <span>
@@ -25,10 +31,8 @@ struct KeyIndex {
 };
 
 /// Sort `pairs` in place by ascending key; entries with equal keys keep
-/// their input order (LSD radix passes are stable). Small inputs fall back
-/// to a comparison sort on (key, index), which is identical to the stable
-/// order whenever indices are distinct and ascending in the input — the
-/// layout radix_sort_order produces.
+/// their input order. When indices are distinct and ascending in the input
+/// — the layout radix_sort_order produces — this is the (key, index) order.
 void radix_sort_pairs(std::span<KeyIndex> pairs, ThreadPool* pool = nullptr);
 
 /// Sorting permutation of `keys`: returns `order` such that
@@ -36,8 +40,26 @@ void radix_sort_pairs(std::span<KeyIndex> pairs, ThreadPool* pool = nullptr);
 /// index. Equivalent to
 ///   std::sort(order, [&](a, b) { return keys[a] != keys[b] ? keys[a] < keys[b]
 ///                                                          : a < b; })
-/// but O(n) per digit and parallel over `pool`.
+/// but linear per digit and parallel over `pool`.
 std::vector<std::uint32_t> radix_sort_order(std::span<const std::uint64_t> keys,
                                             ThreadPool* pool = nullptr);
+
+/// Sorting permutation of `keys` grouped by prefix: the distinct values of
+/// `key >> (key_bits - prefix_bits)` in ascending order, and where each
+/// group starts in `order`. `order` is exactly radix_sort_order(keys), which
+/// runs on this same engine.
+struct PrefixGroups {
+    std::vector<std::uint32_t> order;
+    std::vector<std::uint64_t> prefixes;
+    std::vector<std::uint32_t> begin;  // prefixes.size() + 1 offsets into order
+};
+
+/// Sort `keys` and group them by the `prefix_bits` bits below bit
+/// `key_bits`; the keys must agree on every bit at or above `key_bits`
+/// (Morton codes: key_bits = 63). Prefixes of up to 12 bits are the buckets
+/// of the counting pass itself; longer prefixes split each sorted bucket
+/// further.
+PrefixGroups prefix_sort_order(std::span<const std::uint64_t> keys, int key_bits,
+                               int prefix_bits, ThreadPool* pool = nullptr);
 
 }  // namespace bat

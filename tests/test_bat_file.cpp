@@ -1,9 +1,12 @@
 // Tests for the BAT on-disk format (paper §III-C3, Fig 2): serialization
-// round trips, page alignment, dictionary compaction, mmap reads, and
-// corruption detection.
+// round trips, page alignment, dictionary compaction, mmap reads,
+// corruption detection, and the gather-write sink (bytes on disk equal the
+// in-memory serialization; I/O failures raise bat::Error).
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cstring>
 #include <set>
 
 #include "core/bat_file.hpp"
@@ -203,6 +206,97 @@ TEST(BatFileTest, ClusteredDataRoundTrip) {
         }
     }
     EXPECT_EQ(testing::particle_keys(reassembled), keys);
+}
+
+/// write_bat_file's bytes on disk must equal serialize_bat's.
+void expect_file_matches_serialize(const BatData& bat, const BatDeltaSpec* delta = nullptr) {
+    const testing::TempDir dir;
+    const auto path = dir.path() / "gather.bat";
+    const std::vector<std::byte> expected = serialize_bat(bat, delta);
+    EXPECT_EQ(write_bat_file(path, bat, delta), expected.size());
+    EXPECT_EQ(read_file(path), expected);
+}
+
+TEST(BatFileTest, GatherWriteMatchesSerializeOnDegenerateBats) {
+    // Empty BAT: header, attribute table and no treelets.
+    expect_file_matches_serialize(build_bat(ParticleSet(uniform_attr_names(2)), BatConfig{}));
+    // No attributes at all.
+    expect_file_matches_serialize(make_bat(5'000, 0, 11));
+    // One treelet: coincident particles share one Morton code.
+    ParticleSet one(uniform_attr_names(3));
+    for (int i = 0; i < 300; ++i) {
+        const std::vector<double> attrs{0.1 * i, 1.0, -2.0 * i};
+        one.push_back({0.5f, 0.25f, 0.75f}, attrs);
+    }
+    const BatData single = build_bat(std::move(one), BatConfig{});
+    ASSERT_EQ(single.treelets.size(), 1u);
+    expect_file_matches_serialize(single);
+}
+
+TEST(BatFileTest, GatherWriteSpansSeveralWritevBatches) {
+    // 512 treelets of several segments each (block header, nodes, bitmap
+    // IDs, padding, positions, attributes) is well over the 1024 ranges one
+    // writev call takes.
+    BatConfig config;
+    config.auto_subprefix = false;
+    config.subprefix_bits = 9;
+    const BatData bat =
+        build_bat(make_uniform_particles(kUnit, 40'000, 2, 12), config);
+    ASSERT_GE(bat.treelets.size(), 400u);
+    expect_file_matches_serialize(bat);
+}
+
+TEST(BatFileTest, GatherWriteMatchesSerializeWithDeltaRefs) {
+    const BatData bat = make_bat(30'000, 2, 13);
+    ASSERT_GT(bat.treelets.size(), 2u);
+    BatDeltaSpec spec;
+    spec.base_files = {"prior_a.bat", "prior_b.bat"};
+    spec.refs.resize(bat.treelets.size());
+    for (std::size_t t = 0; t < bat.treelets.size(); t += 2) {
+        spec.refs[t] = DeltaRef{static_cast<std::int32_t>(t / 2 % 2),
+                                static_cast<std::uint32_t>(t + 1)};
+    }
+    expect_file_matches_serialize(bat, &spec);
+    const std::vector<std::byte> bytes = serialize_bat(bat, &spec);
+    FileHeader header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    EXPECT_NE(header.flags & kBatFlagHasBases, 0u);
+    EXPECT_LT(bytes.size(), serialize_bat(bat).size());
+}
+
+/// `write` must throw bat::Error naming `path` and the system error text.
+template <typename Write>
+void expect_write_error(const Write& write, const std::filesystem::path& path, int err) {
+    try {
+        write();
+        ADD_FAILURE() << "no error writing " << path;
+    } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(path.string()), std::string::npos) << what;
+        EXPECT_NE(what.find(std::strerror(err)), std::string::npos) << what;
+    }
+}
+
+TEST(BatFileTest, WriteUnderRegularFileRaisesError) {
+    const testing::TempDir dir;
+    const BatData bat = make_bat(2'000, 2, 14);
+    const std::vector<std::byte> bytes = serialize_bat(bat);
+    const auto plain = dir.path() / "plain.bat";
+    write_file(plain, bytes);
+    const auto child = plain / "child.bat";
+    expect_write_error([&] { write_file(child, bytes); }, child, ENOTDIR);
+    expect_write_error([&] { write_bat_file(child, bat); }, child, ENOTDIR);
+}
+
+TEST(BatFileTest, WriteToFullDeviceRaisesError) {
+    const std::filesystem::path full = "/dev/full";
+    if (!std::filesystem::exists(full)) {
+        GTEST_SKIP() << "no /dev/full on this platform";
+    }
+    const BatData bat = make_bat(2'000, 2, 15);
+    const std::vector<std::byte> bytes = serialize_bat(bat);
+    expect_write_error([&] { write_file(full, bytes); }, full, ENOSPC);
+    expect_write_error([&] { write_bat_file(full, bat); }, full, ENOSPC);
 }
 
 }  // namespace

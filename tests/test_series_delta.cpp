@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <mutex>
 
@@ -17,6 +18,7 @@
 #include "io/leaf_cache.hpp"
 #include "io/reader.hpp"
 #include "io/series.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 #include "workloads/decomposition.hpp"
 #include "workloads/uniform.hpp"
@@ -311,6 +313,68 @@ TEST(SeriesDeltaTest, DriftForcesReplanAndStaysCorrect) {
     Dataset ds = reader.open_timestep(1);
     EXPECT_EQ(testing::particle_keys(ds.collect(BatQuery{})),
               testing::particle_keys(big));
+}
+
+/// Bytes inline treelet `t` of a BAT file spans on disk: from its block
+/// offset to the next block, or to the end of the file rounded up to a page
+/// (every block starts on one).
+std::uint64_t block_span(const std::vector<std::byte>& bytes, std::uint32_t t) {
+    FileHeader header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    std::vector<TreeletDirEntry> dir(header.num_treelets);
+    std::memcpy(dir.data(), bytes.data() + header.treelet_dir_offset,
+                dir.size() * sizeof(TreeletDirEntry));
+    const std::uint64_t start = dir.at(t).offset;
+    std::uint64_t end = (header.file_size + kTreeletAlignment - 1) / kTreeletAlignment *
+                        kTreeletAlignment;
+    for (const TreeletDirEntry& entry : dir) {
+        if (entry.base_file < 0 && entry.offset > start) {
+            end = std::min(end, entry.offset);
+        }
+    }
+    return end - start;
+}
+
+TEST(SeriesDeltaTest, BytesSavedCounterEqualsCleanTreeletBlocks) {
+    testing::TempDir dir;
+    const ParticleSet base = make_uniform_particles(kDomain, 12'000, 2, 91);
+    WriterConfig config = series_config(dir.path(), "saved");
+    config.tree.target_file_size = 64 << 20;  // one leaf file per step
+    auto& saved_counter = obs::MetricsRegistry::global().counter("write.delta_bytes_saved");
+    const std::uint64_t saved_before = saved_counter.value();
+    WriteResult step1;
+    vmpi::Runtime::run(1, [&](vmpi::Comm& comm) {
+        SeriesWriter writer(config);
+        writer.write_timestep(comm, 0, make_step(base, 0), kDomain);
+        step1 = writer.write_timestep(comm, 1, make_step(base, 1), kDomain);
+    });
+    ASSERT_GT(step1.delta_treelets_clean, 0u);
+    ASSERT_GT(step1.delta_treelets_written, 0u);  // so step 1 has its own file
+    EXPECT_EQ(saved_counter.value() - saved_before, step1.delta_bytes_saved);
+
+    const Metadata meta = Metadata::load(dir.path() / "saved_t1.batmeta");
+    ASSERT_EQ(meta.leaves.size(), 1u);
+    const auto delta_path = dir.path() / meta.leaves[0].file;
+    const std::vector<std::byte> delta_bytes = read_file(delta_path);
+    FileHeader header;
+    std::memcpy(&header, delta_bytes.data(), sizeof(header));
+    std::vector<TreeletDirEntry> entries(header.num_treelets);
+    std::memcpy(entries.data(), delta_bytes.data() + header.treelet_dir_offset,
+                entries.size() * sizeof(TreeletDirEntry));
+    const BatFile delta_file(delta_path);
+    std::uint64_t expected = 0;
+    std::uint64_t clean = 0;
+    for (const TreeletDirEntry& entry : entries) {
+        if (entry.base_file < 0) {
+            continue;
+        }
+        const std::vector<std::byte> base_bytes = read_file(
+            dir.path() / delta_file.base_file_names()[static_cast<std::size_t>(entry.base_file)]);
+        expected += block_span(base_bytes, entry.base_treelet);
+        ++clean;
+    }
+    EXPECT_EQ(clean, step1.delta_treelets_clean);
+    EXPECT_EQ(step1.delta_bytes_saved, expected);
 }
 
 }  // namespace

@@ -394,25 +394,6 @@ TEST(BufferTest, SpanRoundTrip) {
     EXPECT_EQ(out, xs);
 }
 
-TEST(BufferTest, AlignToPads) {
-    BufferWriter w;
-    w.write(std::uint8_t{1});
-    w.align_to(8);
-    EXPECT_EQ(w.size(), 8u);
-    w.align_to(8);
-    EXPECT_EQ(w.size(), 8u);  // already aligned: no change
-}
-
-TEST(BufferTest, PatchOverwrites) {
-    BufferWriter w;
-    w.write(std::uint64_t{0});
-    w.write(std::uint32_t{7});
-    w.patch(0, std::uint64_t{42});
-    BufferReader r(w.bytes());
-    EXPECT_EQ(r.read<std::uint64_t>(), 42u);
-    EXPECT_EQ(r.read<std::uint32_t>(), 7u);
-}
-
 TEST(BufferTest, UnderrunThrows) {
     BufferWriter w;
     w.write(std::uint16_t{1});

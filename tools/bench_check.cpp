@@ -4,7 +4,9 @@
 //
 //   radix — the builder's sort must never regress past std::sort: both
 //     sort_radix_serial and sort_radix_pool must beat sort_std at every
-//     n >= 1M;
+//     n >= 1M, and on clustered boiler Morton codes both
+//     sort_radix_clustered_serial and sort_radix_clustered_pool must beat
+//     sort_std_clustered;
 //   simd — the vector kernel tiers must pay for their dispatch:
 //     morton_encode_simd >= 1.5x over morton_encode_scalar and
 //     bitmap_bin_simd >= 1.0x over bitmap_bin_scalar at n >= 1M (rows are
@@ -54,6 +56,8 @@
 // indistinguishable from a gate passing.
 // Usage: bench_check [--seed FILE] <BENCH.json>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -101,25 +105,37 @@ bool find_unique(const NsByKey& ns_op, const std::string& name, std::uint64_t* n
 
 int gate_radix(const NsByKey& ns_op) {
     constexpr std::uint64_t kGateMin = 1u << 20;
+    // Each std::sort reference row and the radix rows sorting the same keys.
+    struct Family {
+        const char* reference;
+        std::array<const char*, 2> radix;
+    };
+    constexpr std::array<Family, 2> kFamilies{{
+        {"sort_std", {"sort_radix_serial", "sort_radix_pool"}},
+        {"sort_std_clustered", {"sort_radix_clustered_serial", "sort_radix_clustered_pool"}},
+    }};
     int gated = 0;
     for (const auto& [key, std_ns] : ns_op) {
         const auto& [kernel, n] = key;
-        if (kernel != "sort_std" || n < kGateMin) {
+        const auto family =
+            std::find_if(kFamilies.begin(), kFamilies.end(),
+                         [&](const Family& f) { return kernel == f.reference; });
+        if (family == kFamilies.end() || n < kGateMin) {
             continue;
         }
-        for (const char* radix : {"sort_radix_serial", "sort_radix_pool"}) {
+        for (const char* radix : family->radix) {
             const auto it = ns_op.find({radix, n});
             if (it == ns_op.end()) {
                 fail(std::string(radix) + " missing at n=" + std::to_string(n));
                 return -1;
             }
             const double speedup = std_ns / it->second;
-            std::printf("bench_check: n=%-9llu %-18s %8.2f ns/op vs sort_std %8.2f "
+            std::printf("bench_check: n=%-9llu %-27s %8.2f ns/op vs %s %8.2f "
                         "(%.2fx)\n",
-                        static_cast<unsigned long long>(n), radix, it->second, std_ns,
-                        speedup);
+                        static_cast<unsigned long long>(n), radix, it->second,
+                        family->reference, std_ns, speedup);
             if (speedup < 1.0) {
-                fail(std::string(radix) + " slower than sort_std at n=" +
+                fail(std::string(radix) + " slower than " + family->reference + " at n=" +
                      std::to_string(n));
                 return -1;
             }
