@@ -83,17 +83,6 @@ Box ParticleSet::bounds() const {
     return b;
 }
 
-void ParticleSet::copy_from(const ParticleSet& src, std::size_t at) {
-    BAT_CHECK_MSG(src.attr_names_ == attr_names_, "schema mismatch in copy_from");
-    BAT_CHECK_MSG(at + src.count() <= count(), "copy_from past the end of the set");
-    std::copy(src.positions_.begin(), src.positions_.end(),
-              positions_.begin() + static_cast<std::ptrdiff_t>(3 * at));
-    for (std::size_t a = 0; a < attrs_.size(); ++a) {
-        std::copy(src.attrs_[a].begin(), src.attrs_[a].end(),
-                  attrs_[a].begin() + static_cast<std::ptrdiff_t>(at));
-    }
-}
-
 void ParticleSet::deplane_positions(float* xs, float* ys, float* zs,
                                     ThreadPool* pool) const {
     constexpr std::size_t kGrain = std::size_t{1} << 14;
@@ -212,13 +201,15 @@ std::size_t ParticleSet::deserialize_into(std::span<const std::byte> bytes,
 }
 
 std::size_t ParticleSet::append_from_bytes(std::span<const std::byte> bytes) {
-    // Peek the payload's particle count to grow the arrays, then place the
-    // data directly at the old end.
-    BufferReader header(bytes);
-    const auto n = static_cast<std::size_t>(header.read<std::uint64_t>());
+    // Grow by the payload's count, then place the data at the old end.
     const std::size_t at = count();
-    resize(at + n);
+    resize(at + wire_count(bytes));
     return deserialize_into(bytes, at);
+}
+
+std::size_t ParticleSet::wire_count(std::span<const std::byte> bytes) {
+    BufferReader header(bytes);
+    return static_cast<std::size_t>(header.read<std::uint64_t>());
 }
 
 }  // namespace bat

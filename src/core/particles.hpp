@@ -69,12 +69,6 @@ public:
     void append_block(std::span<const float> xyz,
                       std::span<const std::span<const double>> attr_columns);
 
-    /// Copy every particle of `src` (same schema required) into slots
-    /// [at, at + src.count()); this set must already be resized to hold
-    /// them. The zero-copy aggregation path places each sender's particles
-    /// at a precomputed offset so arrival order cannot change the result.
-    void copy_from(const ParticleSet& src, std::size_t at);
-
     /// Tight bounding box of all particle positions (empty box if none).
     Box bounds() const;
 
@@ -113,6 +107,10 @@ public:
     /// constructing an intermediate ParticleSet. Returns the number of
     /// particles appended.
     std::size_t append_from_bytes(std::span<const std::byte> bytes);
+
+    /// Particle count of a wire payload, read from its header (lets the
+    /// aggregator reserve a merged set before appending payloads).
+    static std::size_t wire_count(std::span<const std::byte> bytes);
 
 private:
     std::vector<float> positions_;  // xyz interleaved

@@ -46,7 +46,6 @@ namespace io_detail {
 struct LeafDuty {
     int leaf_id = -1;
     std::vector<std::pair<int, std::uint64_t>> senders;  // (rank, particle count)
-    std::uint64_t total_particles = 0;
 };
 
 /// Assignment message scattered from rank 0 to each rank.
@@ -64,7 +63,6 @@ struct Assignment {
         w.write(static_cast<std::uint32_t>(duties.size()));
         for (const LeafDuty& duty : duties) {
             w.write(std::int32_t{duty.leaf_id});
-            w.write(duty.total_particles);
             w.write(static_cast<std::uint32_t>(duty.senders.size()));
             for (const auto& [rank, count] : duty.senders) {
                 w.write(std::int32_t{rank});
@@ -83,7 +81,6 @@ struct Assignment {
         a.duties.resize(r.read<std::uint32_t>());
         for (LeafDuty& duty : a.duties) {
             duty.leaf_id = r.read<std::int32_t>();
-            duty.total_particles = r.read<std::uint64_t>();
             duty.senders.resize(r.read<std::uint32_t>());
             for (auto& [rank, count] : duty.senders) {
                 rank = r.read<std::int32_t>();
@@ -99,7 +96,7 @@ struct Assignment {
 /// References are flattened — treelet_file[t] always names the file that
 /// physically holds the block, never an intermediate delta file.
 struct LeafDeltaState {
-    std::vector<std::uint64_t> hashes;        // per treelet, FNV-1a 64
+    std::vector<std::uint64_t> hashes;        // per treelet, multiply-xorshift
     std::vector<std::uint32_t> num_points;    // per treelet
     std::vector<std::string> treelet_file;    // per treelet, physical holder
     std::vector<std::uint32_t> treelet_index; // per treelet, index in holder
@@ -194,16 +191,26 @@ Aggregation build_aggregation(std::span<const RankInfo> ranks, AggStrategy strat
 
 namespace {
 
-/// Assign aggregators for a built aggregation: file-per-process writes from
-/// the owning rank itself, the others spread aggregators over rank space.
-void assign_strategy_aggregators(Aggregation& agg, AggStrategy strategy, int nranks) {
-    if (strategy == AggStrategy::file_per_process) {
+/// Plan reuse threshold: a rank whose particle count moved by more than this
+/// fraction of its previous count forces a replan.
+constexpr double kMaxRankDrift = 0.3;
+
+/// Build the aggregation over `infos` and assign its aggregators:
+/// file-per-process writes from the owning rank itself, the others spread
+/// aggregators over rank space.
+Aggregation plan_aggregation(std::span<const RankInfo> infos, const WriterConfig& config,
+                             std::size_t bytes_per_particle) {
+    AggTreeConfig tree_config = config.tree;
+    tree_config.bytes_per_particle = bytes_per_particle;
+    Aggregation agg = build_aggregation(infos, config.strategy, tree_config, config.pool);
+    if (config.strategy == AggStrategy::file_per_process) {
         for (AggLeaf& leaf : agg.leaves) {
             leaf.aggregator = leaf.ranks.front();
         }
     } else {
-        agg.assign_aggregators(nranks);
+        agg.assign_aggregators(static_cast<int>(infos.size()));
     }
+    return agg;
 }
 
 std::vector<vmpi::Bytes> make_assignments(const Aggregation& agg,
@@ -220,7 +227,6 @@ std::vector<vmpi::Bytes> make_assignments(const Aggregation& agg,
         const AggLeaf& leaf = agg.leaves[leaf_id];
         LeafDuty duty;
         duty.leaf_id = static_cast<int>(leaf_id);
-        duty.total_particles = leaf.num_particles;
         duty.senders.reserve(leaf.ranks.size());
         for (int r : leaf.ranks) {
             // Ranks without particles skip the transfer (paper §III-B).
@@ -240,37 +246,28 @@ std::vector<vmpi::Bytes> make_assignments(const Aggregation& agg,
     return blobs;
 }
 
-}  // namespace
+// ---- pipeline stages ------------------------------------------------------
+// write_particles runs all four; write_particles_serial aggregates in one
+// process and shares write_leaf and publish_metadata. Each obs::PhaseSpan
+// both emits a trace span (when BAT_TRACE is on) and accumulates wall
+// seconds into the matching WritePhaseTimings field — the only bookkeeping
+// path for Fig 6/10/12.
 
-WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
-                            const Box& local_bounds, const WriterConfig& config) {
-    return write_particles(comm, local, local_bounds, config, nullptr);
-}
-
-WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
-                            const Box& local_bounds, const WriterConfig& config,
-                            WritePlan* plan) {
-    WriteResult result;
-    WritePhaseTimings& timings = result.timings;
+/// (a)+(b) Plan: with a valid plan each rank checks its own drift against
+/// the previous step and an all-ranks AND decides collectively whether the
+/// cached aggregation + assignment still hold. Otherwise gather counts and
+/// bounds, build the aggregation on rank 0 (into `fresh_agg`, or into the
+/// plan when one is carried) and scatter the assignments. The plan must be
+/// passed on every rank or on none — validity transitions collectively.
+Assignment plan_write(vmpi::Comm& comm, const ParticleSet& local, const Box& local_bounds,
+                      const WriterConfig& config, io_detail::WritePlanState* state,
+                      Aggregation& fresh_agg, WriteResult& result) {
     const int nranks = comm.size();
-    const std::size_t nattrs = local.num_attrs();
-    auto& metrics = obs::MetricsRegistry::global();
-    io_detail::WritePlanState* state = plan != nullptr ? plan->state_.get() : nullptr;
-
-    // Phase accounting: each obs::PhaseSpan both emits a trace span (when
-    // BAT_TRACE is on) and accumulates wall seconds into the corresponding
-    // WritePhaseTimings field — the only bookkeeping path for Fig 6/10/12.
-
-    // ---- (a) gather counts + bounds; build the aggregation on rank 0 ------
-    // With a valid plan, each rank first checks its own drift against the
-    // previous step; a cheap all-ranks AND then decides collectively
-    // whether the cached tree + assignment can be reused. The plan must be
-    // passed on every rank or on none — validity transitions collectively.
-    RankInfo my_info{local_bounds, local.count()};
+    const RankInfo my_info{local_bounds, local.count()};
     std::vector<RankInfo> infos;
     bool reuse = false;
     {
-        obs::PhaseSpan span("write.gather", &timings.gather);
+        obs::PhaseSpan span("write.gather", &result.timings.gather);
         if (state != nullptr && state->valid) {
             const RankInfo& prev = state->my_info;
             const std::uint64_t pn = prev.num_particles;
@@ -282,7 +279,7 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
             const bool local_ok = state->nranks == nranks &&
                                   state->strategy == config.strategy &&
                                   prev.bounds == local_bounds && (pn > 0) == (n > 0) &&
-                                  drift <= config.delta.max_rank_drift;
+                                  drift <= kMaxRankDrift;
             reuse = comm.allreduce(local_ok ? 1 : 0,
                                    [](int a, int b) { return a & b; }) != 0;
         }
@@ -291,31 +288,24 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
         }
     }
 
-    Aggregation agg_local;  // rank 0, planless path only
     Assignment assignment;
     if (reuse) {
         assignment = state->assignment;
         result.reused_plan = true;
         if (comm.rank() == 0) {
-            metrics.counter("write.plan_reused").add(1);
+            obs::MetricsRegistry::global().counter("write.plan_reused").add(1);
         }
     } else {
         std::vector<vmpi::Bytes> assignment_blobs;
         {
-            obs::PhaseSpan span("write.tree_build", &timings.tree_build);
+            obs::PhaseSpan span("write.tree_build", &result.timings.tree_build);
             if (comm.rank() == 0) {
-                AggTreeConfig tree_config = config.tree;
-                tree_config.bytes_per_particle = local.bytes_per_particle();
-                agg_local =
-                    build_aggregation(infos, config.strategy, tree_config, config.pool);
-                assign_strategy_aggregators(agg_local, config.strategy, nranks);
-                assignment_blobs = make_assignments(agg_local, infos, nranks);
+                fresh_agg = plan_aggregation(infos, config, local.bytes_per_particle());
+                assignment_blobs = make_assignments(fresh_agg, infos, nranks);
             }
         }
-
-        // ---- (b) scatter assignments --------------------------------------
         {
-            obs::PhaseSpan span("write.scatter", &timings.scatter);
+            obs::PhaseSpan span("write.scatter", &result.timings.scatter);
             assignment =
                 Assignment::from_bytes(comm.scatterv(std::move(assignment_blobs), 0));
         }
@@ -324,7 +314,7 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
             // per-leaf hashes describe regions that no longer line up —
             // drop them and let this step repopulate from its full writes.
             state->leaves.clear();
-            state->agg = std::move(agg_local);
+            state->agg = std::move(fresh_agg);
             state->assignment = assignment;
             state->nranks = nranks;
             state->strategy = config.strategy;
@@ -334,248 +324,264 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
     if (state != nullptr) {
         state->my_info = my_info;
     }
-    // Rank 0's aggregation lives in the plan when one is carried.
-    const Aggregation& agg = state != nullptr ? state->agg : agg_local;
     result.num_leaves = assignment.num_leaves;
     result.my_leaf = assignment.my_leaf;
+    return assignment;
+}
 
-    // ---- (b') transfer particles to aggregators ---------------------------
-    // Zero-copy path: each sender serializes once and the payload Bytes are
-    // moved into the destination mailbox; aggregators pre-size one merged
-    // set per leaf and deserialize every payload directly into its sender's
-    // precomputed slot (no intermediate per-sender ParticleSet). Receives
-    // are any-source so one slow sender cannot serialize the aggregator —
-    // the fixed slot offsets keep the merged order (and thus the output
-    // bytes) independent of arrival order. An aggregator's own particles
-    // skip (de)serialization entirely and are copied in place.
-    std::vector<std::pair<int, ParticleSet>> leaf_particles;  // (leaf_id, data)
-    {
-        obs::PhaseSpan span("write.transfer", &timings.transfer);
-        const bool send_self =
-            !local.empty() && assignment.my_aggregator == comm.rank();
-        if (!local.empty()) {
-            BAT_CHECK_MSG(assignment.my_aggregator >= 0,
-                          "rank " << comm.rank() << " owns particles but has no aggregator");
-            if (!send_self) {
-                vmpi::Bytes payload = local.to_bytes();
-                metrics.histogram("write.transfer_msg_bytes", transfer_size_bounds())
-                    .record(static_cast<double>(payload.size()));
-                comm.isend(assignment.my_aggregator, kTagData, std::move(payload));
-            }
-        }
-        if (!reuse) {
-            struct SenderSlot {
-                std::size_t duty;    // index into leaf_particles
-                std::size_t offset;  // particle slot within the merged set
-                std::uint64_t count;
-            };
-            std::map<int, SenderSlot> slots;
-            leaf_particles.reserve(assignment.duties.size());
-            for (std::size_t d = 0; d < assignment.duties.size(); ++d) {
-                const LeafDuty& duty = assignment.duties[d];
-                ParticleSet merged(local.attr_names());
-                merged.resize(duty.total_particles);
-                std::size_t offset = 0;
-                for (const auto& [sender, count] : duty.senders) {
-                    if (send_self && sender == comm.rank()) {
-                        merged.copy_from(local, offset);
-                        metrics.counter("write.transfer_bytes").add(local.payload_bytes());
-                    } else {
-                        const bool inserted =
-                            slots.emplace(sender, SenderSlot{d, offset, count}).second;
-                        BAT_CHECK_MSG(inserted, "rank " << sender << " feeds two leaves");
-                    }
-                    offset += count;
-                }
-                BAT_CHECK(offset == duty.total_particles);
-                leaf_particles.emplace_back(duty.leaf_id, std::move(merged));
-            }
-            const std::size_t expected = slots.size();
-            for (std::size_t m = 0; m < expected; ++m) {
-                int from = -1;
-                const vmpi::Bytes payload = comm.recv(vmpi::kAnySource, kTagData, &from);
-                const auto it = slots.find(from);
-                BAT_CHECK_MSG(it != slots.end(),
-                              "unexpected transfer payload from rank " << from);
-                const SenderSlot slot = it->second;
-                slots.erase(it);
-                metrics.counter("write.transfer_bytes").add(payload.size());
-                const std::size_t got =
-                    leaf_particles[slot.duty].second.deserialize_into(payload, slot.offset);
-                BAT_CHECK_MSG(got == slot.count, "sender " << from << " sent " << got
-                                                           << " particles, " << slot.count
-                                                           << " expected");
-            }
-        } else {
-            // Reused assignment: the cached per-sender counts are stale
-            // (ranks may have drifted under the threshold), so the merged
-            // sets cannot be pre-sized with fixed slots. Instead receive
-            // every expected payload first, then append per duty in the
-            // fixed ascending-sender order — which is exactly the order the
-            // fixed-slot path lays senders out in, so the merged sets (and
-            // therefore the output bytes) match a full-pipeline write of
-            // the same data bit for bit. The sender *sets* are still exact:
-            // any empty/non-empty flip forces a replan.
-            std::size_t expected = 0;
-            for (const LeafDuty& duty : assignment.duties) {
-                for (const auto& [sender, count] : duty.senders) {
-                    if (sender != comm.rank()) {
-                        ++expected;
-                    }
-                }
-            }
-            std::map<int, vmpi::Bytes> payloads;
-            for (std::size_t m = 0; m < expected; ++m) {
-                int from = -1;
-                vmpi::Bytes payload = comm.recv(vmpi::kAnySource, kTagData, &from);
-                metrics.counter("write.transfer_bytes").add(payload.size());
-                const bool inserted = payloads.emplace(from, std::move(payload)).second;
-                BAT_CHECK_MSG(inserted, "rank " << from << " feeds two leaves");
-            }
-            leaf_particles.reserve(assignment.duties.size());
-            for (const LeafDuty& duty : assignment.duties) {
-                ParticleSet merged(local.attr_names());
-                for (const auto& [sender, count] : duty.senders) {
-                    (void)count;  // stale; payloads carry the real counts
-                    if (sender == comm.rank()) {
-                        merged.append(local);
-                        metrics.counter("write.transfer_bytes").add(local.payload_bytes());
-                    } else {
-                        const auto it = payloads.find(sender);
-                        BAT_CHECK_MSG(it != payloads.end(),
-                                      "no transfer payload from rank " << sender);
-                        merged.append_from_bytes(it->second);
-                    }
-                }
-                leaf_particles.emplace_back(duty.leaf_id, std::move(merged));
-            }
+/// (b') Transfer: send this rank's particles to its aggregator and merge
+/// the leaves this rank aggregates. Each sender serializes once and the
+/// payload is moved into the destination mailbox. The aggregator receives
+/// every remote payload any-source, so one slow sender cannot serialize it,
+/// then sizes each leaf from the payload headers and appends the senders in
+/// duty.senders order (the leaf's rank order) — arrival order never reaches
+/// the merged set (and thus the output bytes). Its own particles skip
+/// (de)serialization and are copied in. `counts_exact` is false for
+/// a reused plan, whose cached per-sender counts may have drifted; the
+/// sender sets stay exact (an empty/non-empty flip forces a replan).
+std::vector<std::pair<int, ParticleSet>> transfer(vmpi::Comm& comm, const ParticleSet& local,
+                                                  const Assignment& assignment,
+                                                  bool counts_exact, WriteResult& result) {
+    obs::PhaseSpan span("write.transfer", &result.timings.transfer);
+    auto& metrics = obs::MetricsRegistry::global();
+    const int self = comm.rank();
+    if (!local.empty()) {
+        BAT_CHECK_MSG(assignment.my_aggregator >= 0,
+                      "rank " << self << " owns particles but has no aggregator");
+        if (assignment.my_aggregator != self) {
+            vmpi::Bytes payload = local.to_bytes();
+            metrics.histogram("write.transfer_msg_bytes", transfer_size_bounds())
+                .record(static_cast<double>(payload.size()));
+            comm.isend(assignment.my_aggregator, kTagData, std::move(payload));
         }
     }
 
-    // ---- (c) build + write the BAT for each owned leaf --------------------
-    // With a plan, the builder hashes every treelet; treelets whose hash,
-    // point count, and physical location carry over from the previous step
-    // are written as references into the prior step's file. A leaf whose
-    // treelets are ALL clean (and whose attr table + shallow tree match)
-    // skips its file entirely — the metadata points at the prior file.
+    // Per rank: whether it sends to this aggregator, and its payload.
+    std::vector<char> is_sender(static_cast<std::size_t>(comm.size()), 0);
+    std::vector<vmpi::Bytes> payloads(static_cast<std::size_t>(comm.size()));
+    std::size_t expected = 0;
+    for (const LeafDuty& duty : assignment.duties) {
+        for (const auto& [sender, count] : duty.senders) {
+            if (sender != self) {
+                char& flag = is_sender[static_cast<std::size_t>(sender)];
+                BAT_CHECK_MSG(flag == 0, "rank " << sender << " feeds two leaves");
+                flag = 1;
+                ++expected;
+            }
+        }
+    }
+    for (std::size_t m = 0; m < expected; ++m) {
+        int from = -1;
+        vmpi::Bytes payload = comm.recv(vmpi::kAnySource, kTagData, &from);
+        const auto f = static_cast<std::size_t>(from);
+        BAT_CHECK_MSG(is_sender[f] != 0 && payloads[f].empty(),
+                      "unexpected transfer payload from rank " << from);
+        metrics.counter("write.transfer_bytes").add(payload.size());
+        payloads[f] = std::move(payload);
+    }
+
+    std::vector<std::pair<int, ParticleSet>> leaves;  // (leaf_id, data)
+    leaves.reserve(assignment.duties.size());
+    for (const LeafDuty& duty : assignment.duties) {
+        std::size_t total = 0;
+        for (const auto& [sender, count] : duty.senders) {
+            const std::size_t got =
+                sender == self ? local.count()
+                               : ParticleSet::wire_count(payloads[static_cast<std::size_t>(sender)]);
+            BAT_CHECK_MSG(!counts_exact || got == count,
+                          "sender " << sender << " sent " << got << " particles, " << count
+                                    << " expected");
+            total += got;
+        }
+        // Reserved once, then appended: no regrowth, and no zero-fill of
+        // the aggregator's own particles before they are copied in.
+        ParticleSet merged(local.attr_names());
+        merged.reserve(total);
+        for (const auto& [sender, count] : duty.senders) {
+            if (sender == self) {
+                merged.append(local);
+                metrics.counter("write.transfer_bytes").add(local.payload_bytes());
+            } else {
+                // Moved out so each payload is freed once placed.
+                const vmpi::Bytes payload = std::move(payloads[static_cast<std::size_t>(sender)]);
+                merged.append_from_bytes(payload);
+            }
+        }
+        leaves.emplace_back(duty.leaf_id, std::move(merged));
+    }
+    return leaves;
+}
+
+/// (c) Build one leaf's BAT, write its file and return its metadata report.
+/// With a plan (`state`), the builder hashes every treelet; treelets whose
+/// hash, point count and physical location carry over from the previous
+/// step are written as references into the prior step's file. A leaf whose
+/// treelets are ALL clean (and whose attr table + shallow tree match) skips
+/// its file entirely — the metadata points at the prior file.
+LeafReport write_leaf(int leaf_id, ParticleSet particles, const WriterConfig& config,
+                      io_detail::WritePlanState* state, WriteResult& result) {
+    const std::size_t nattrs = particles.num_attrs();
     BatConfig bat_config = config.bat;
-    const bool delta_enabled = state != nullptr && config.delta.enabled;
-    bat_config.hash_treelets = delta_enabled;
+    bat_config.hash_treelets = state != nullptr;
+    BatData bat;
+    {
+        obs::PhaseSpan span("write.bat_build", &result.timings.bat_build);
+        bat = build_bat(std::move(particles), bat_config, config.pool, &result.timings.bat);
+    }
+
+    LeafReport report;
+    report.leaf_id = leaf_id;
+    report.num_particles = bat.particles.count();
+    report.ranges = bat.attr_ranges;
+    report.edges = bat.attr_edges;
+    report.root_bitmaps.resize(nattrs);
+    for (std::size_t a = 0; a < nattrs; ++a) {
+        report.root_bitmaps[a] = bat.root_bitmap(a);
+    }
+
+    obs::PhaseSpan span("write.file_write", &result.timings.file_write);
+    const std::string own_file = leaf_file_name(config.basename, leaf_id);
+    if (state == nullptr) {
+        result.bytes_written += write_bat_file(config.directory / own_file, bat);
+        return report;
+    }
+
+    auto& metrics = obs::MetricsRegistry::global();
+    io_detail::LeafDeltaState& st = state->leaves[leaf_id];
+    const std::size_t num_treelets = bat.treelets.size();
+    const bool can_delta = !config.delta.force_keyframe && !st.last_file.empty() &&
+                           st.hashes.size() == num_treelets;
+    BatDeltaSpec spec;
+    spec.refs.resize(num_treelets);
+    std::map<std::string, std::int32_t> base_ids;
+    std::size_t clean = 0;
+    std::uint64_t saved = 0;
+    int max_age = 0;
+    for (std::size_t t = 0; t < num_treelets; ++t) {
+        const Treelet& tr = bat.treelets[t];
+        if (can_delta && st.hashes[t] == tr.hash && st.num_points[t] == tr.num_particles &&
+            !st.treelet_file[t].empty()) {
+            const auto [it, inserted] = base_ids.emplace(
+                st.treelet_file[t], static_cast<std::int32_t>(spec.base_files.size()));
+            if (inserted) {
+                spec.base_files.push_back(st.treelet_file[t]);
+            }
+            spec.refs[t] = DeltaRef{it->second, st.treelet_index[t]};
+            saved += treelet_block_bytes(tr, nattrs);
+            ++clean;
+        }
+    }
+
+    const bool all_clean =
+        can_delta && clean == num_treelets && st.attr_ranges == bat.attr_ranges &&
+        st.attr_edges == bat.attr_edges && st.shallow_bitmaps == bat.shallow_bitmaps &&
+        st.shallow_nodes.size() == bat.shallow_nodes.size() &&
+        (st.shallow_nodes.empty() ||
+         std::memcmp(st.shallow_nodes.data(), bat.shallow_nodes.data(),
+                     st.shallow_nodes.size() * sizeof(ShallowNode)) == 0);
+    if (all_clean) {
+        // Nothing about the leaf changed: keep the prior step's file and
+        // record it (plus its base table) in this step's metadata.
+        report.file_override = st.last_file;
+        report.delta_bases = st.last_file_bases;
+        result.leaves_unchanged += 1;
+        metrics.counter("write.leaves_unchanged").add(1);
+        for (std::size_t t = 0; t < num_treelets; ++t) {
+            max_age = std::max(max_age, ++st.ages[t]);
+        }
+    } else {
+        result.bytes_written += write_bat_file(config.directory / own_file, bat,
+                                               clean > 0 ? &spec : nullptr);
+
+        st.hashes.resize(num_treelets);
+        st.num_points.resize(num_treelets);
+        st.treelet_file.resize(num_treelets);
+        st.treelet_index.resize(num_treelets);
+        st.ages.resize(num_treelets, 0);
+        for (std::size_t t = 0; t < num_treelets; ++t) {
+            const Treelet& tr = bat.treelets[t];
+            st.hashes[t] = tr.hash;
+            st.num_points[t] = tr.num_particles;
+            if (spec.refs[t].base_file >= 0) {
+                max_age = std::max(max_age, ++st.ages[t]);
+            } else {
+                st.treelet_file[t] = own_file;
+                st.treelet_index[t] = static_cast<std::uint32_t>(t);
+                st.ages[t] = 0;
+            }
+        }
+        st.last_file = own_file;
+        st.last_file_bases = spec.base_files;
+        st.attr_ranges = bat.attr_ranges;
+        st.attr_edges = bat.attr_edges;
+        st.shallow_nodes = bat.shallow_nodes;
+        st.shallow_bitmaps = bat.shallow_bitmaps;
+        report.delta_bases = spec.base_files;
+    }
+
+    result.delta_treelets_clean += clean;
+    result.delta_treelets_written += num_treelets - clean;
+    result.delta_bytes_saved += saved;
+    metrics.counter("write.delta_treelets_clean").add(static_cast<std::int64_t>(clean));
+    metrics.counter("write.delta_treelets_written")
+        .add(static_cast<std::int64_t>(num_treelets - clean));
+    metrics.counter("write.delta_bytes_saved").add(static_cast<std::int64_t>(saved));
+    metrics.histogram("write.delta_chain_len", chain_len_bounds())
+        .record(static_cast<double>(max_age + 1));
+    return report;
+}
+
+/// (d) Build the top-level metadata from every leaf's report and save it
+/// to result.metadata_path. The metadata file is part of the written
+/// volume; leaving it out inflates effective-bandwidth numbers (Fig 5).
+void publish_metadata(const Aggregation& agg, const std::vector<std::string>& attr_names,
+                      std::vector<LeafReport> reports, const WriterConfig& config,
+                      WriteResult& result) {
+    std::sort(reports.begin(), reports.end(),
+              [](const LeafReport& a, const LeafReport& b) { return a.leaf_id < b.leaf_id; });
+    std::vector<std::string> files;
+    files.reserve(agg.leaves.size());
+    for (std::size_t i = 0; i < agg.leaves.size(); ++i) {
+        files.push_back(leaf_file_name(config.basename, static_cast<int>(i)));
+    }
+    build_metadata(agg, attr_names, reports, files).save(result.metadata_path);
+    result.bytes_written += std::filesystem::file_size(result.metadata_path);
+}
+
+std::filesystem::path metadata_path(const WriterConfig& config) {
+    return config.directory / (config.basename + ".batmeta");
+}
+
+}  // namespace
+
+WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
+                            const Box& local_bounds, const WriterConfig& config) {
+    return write_particles(comm, local, local_bounds, config, nullptr);
+}
+
+WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
+                            const Box& local_bounds, const WriterConfig& config,
+                            WritePlan* plan) {
+    WriteResult result;
+    io_detail::WritePlanState* state = plan != nullptr ? plan->state_.get() : nullptr;
+
+    Aggregation fresh_agg;  // rank 0, planless path only
+    const Assignment assignment =
+        plan_write(comm, local, local_bounds, config, state, fresh_agg, result);
+    // Rank 0's aggregation lives in the plan when one is carried.
+    const Aggregation& agg = state != nullptr ? state->agg : fresh_agg;
+
+    std::vector<std::pair<int, ParticleSet>> leaves =
+        transfer(comm, local, assignment, !result.reused_plan, result);
 
     std::vector<LeafReport> my_reports;
     std::filesystem::create_directories(config.directory);
-    for (auto& [leaf_id, particles] : leaf_particles) {
-        BatData bat;
-        {
-            obs::PhaseSpan span("write.bat_build", &timings.bat_build);
-            bat = build_bat(std::move(particles), bat_config, config.pool, &timings.bat);
-        }
-
-        LeafReport report;
-        report.leaf_id = leaf_id;
-        report.num_particles = bat.particles.count();
-        report.ranges = bat.attr_ranges;
-        report.edges = bat.attr_edges;
-        report.root_bitmaps.resize(nattrs);
-        for (std::size_t a = 0; a < nattrs; ++a) {
-            report.root_bitmaps[a] = bat.root_bitmap(a);
-        }
-
-        obs::PhaseSpan span("write.file_write", &timings.file_write);
-        const std::string own_file = leaf_file_name(config.basename, leaf_id);
-        if (!delta_enabled) {
-            result.bytes_written += write_bat_file(config.directory / own_file, bat);
-            my_reports.push_back(std::move(report));
-            continue;
-        }
-
-        io_detail::LeafDeltaState& st = state->leaves[leaf_id];
-        const std::size_t num_treelets = bat.treelets.size();
-        const bool can_delta = !config.delta.force_keyframe && !st.last_file.empty() &&
-                               st.hashes.size() == num_treelets;
-        BatDeltaSpec spec;
-        spec.refs.resize(num_treelets);
-        std::map<std::string, std::int32_t> base_ids;
-        std::size_t clean = 0;
-        std::uint64_t saved = 0;
-        int max_age = 0;
-        for (std::size_t t = 0; t < num_treelets; ++t) {
-            const Treelet& tr = bat.treelets[t];
-            if (can_delta && st.hashes[t] == tr.hash &&
-                st.num_points[t] == tr.num_particles && !st.treelet_file[t].empty()) {
-                const auto [it, inserted] = base_ids.emplace(
-                    st.treelet_file[t], static_cast<std::int32_t>(spec.base_files.size()));
-                if (inserted) {
-                    spec.base_files.push_back(st.treelet_file[t]);
-                }
-                spec.refs[t] = DeltaRef{it->second, st.treelet_index[t]};
-                saved += treelet_block_bytes(tr, nattrs);
-                ++clean;
-            }
-        }
-
-        const bool all_clean =
-            can_delta && clean == num_treelets && st.attr_ranges == bat.attr_ranges &&
-            st.attr_edges == bat.attr_edges && st.shallow_bitmaps == bat.shallow_bitmaps &&
-            st.shallow_nodes.size() == bat.shallow_nodes.size() &&
-            (st.shallow_nodes.empty() ||
-             std::memcmp(st.shallow_nodes.data(), bat.shallow_nodes.data(),
-                         st.shallow_nodes.size() * sizeof(ShallowNode)) == 0);
-        if (all_clean) {
-            // Nothing about the leaf changed: keep the prior step's file and
-            // record it (plus its base table) in this step's metadata.
-            report.file_override = st.last_file;
-            report.delta_bases = st.last_file_bases;
-            result.leaves_unchanged += 1;
-            metrics.counter("write.leaves_unchanged").add(1);
-            for (std::size_t t = 0; t < num_treelets; ++t) {
-                max_age = std::max(max_age, ++st.ages[t]);
-            }
-        } else {
-            result.bytes_written += write_bat_file(config.directory / own_file, bat,
-                                                   clean > 0 ? &spec : nullptr);
-
-            st.hashes.resize(num_treelets);
-            st.num_points.resize(num_treelets);
-            st.treelet_file.resize(num_treelets);
-            st.treelet_index.resize(num_treelets);
-            st.ages.resize(num_treelets, 0);
-            for (std::size_t t = 0; t < num_treelets; ++t) {
-                const Treelet& tr = bat.treelets[t];
-                st.hashes[t] = tr.hash;
-                st.num_points[t] = tr.num_particles;
-                if (spec.refs[t].base_file >= 0) {
-                    max_age = std::max(max_age, ++st.ages[t]);
-                } else {
-                    st.treelet_file[t] = own_file;
-                    st.treelet_index[t] = static_cast<std::uint32_t>(t);
-                    st.ages[t] = 0;
-                }
-            }
-            st.last_file = own_file;
-            st.last_file_bases = spec.base_files;
-            st.attr_ranges = bat.attr_ranges;
-            st.attr_edges = bat.attr_edges;
-            st.shallow_nodes = bat.shallow_nodes;
-            st.shallow_bitmaps = bat.shallow_bitmaps;
-            report.delta_bases = spec.base_files;
-        }
-
-        result.delta_treelets_clean += clean;
-        result.delta_treelets_written += num_treelets - clean;
-        result.delta_bytes_saved += saved;
-        metrics.counter("write.delta_treelets_clean")
-            .add(static_cast<std::int64_t>(clean));
-        metrics.counter("write.delta_treelets_written")
-            .add(static_cast<std::int64_t>(num_treelets - clean));
-        metrics.counter("write.delta_bytes_saved").add(static_cast<std::int64_t>(saved));
-        metrics.histogram("write.delta_chain_len", chain_len_bounds())
-            .record(static_cast<double>(max_age + 1));
-        my_reports.push_back(std::move(report));
+    for (auto& [leaf_id, particles] : leaves) {
+        my_reports.push_back(write_leaf(leaf_id, std::move(particles), config, state, result));
     }
 
-    // ---- (d) metadata on rank 0 -------------------------------------------
-    obs::PhaseSpan metadata_span("write.metadata", &timings.metadata);
+    // Reports travel to rank 0, which publishes the metadata.
+    obs::PhaseSpan metadata_span("write.metadata", &result.timings.metadata);
     BufferWriter reports_blob;
     reports_blob.write(static_cast<std::uint32_t>(my_reports.size()));
     for (const LeafReport& report : my_reports) {
@@ -584,7 +590,7 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
         reports_blob.write_span(std::span<const std::byte>(bytes));
     }
     std::vector<vmpi::Bytes> gathered = comm.gatherv(reports_blob.take(), 0);
-    result.metadata_path = config.directory / (config.basename + ".batmeta");
+    result.metadata_path = metadata_path(config);
     if (comm.rank() == 0) {
         std::vector<LeafReport> reports;
         for (const vmpi::Bytes& blob : gathered) {
@@ -597,24 +603,13 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
                 reports.push_back(LeafReport::from_bytes(piece));
             }
         }
-        // Order reports by leaf id for build_metadata.
-        std::sort(reports.begin(), reports.end(),
-                  [](const LeafReport& a, const LeafReport& b) { return a.leaf_id < b.leaf_id; });
-        std::vector<std::string> files;
-        files.reserve(agg.leaves.size());
-        for (std::size_t i = 0; i < agg.leaves.size(); ++i) {
-            files.push_back(leaf_file_name(config.basename, static_cast<int>(i)));
-        }
-        const Metadata meta = build_metadata(agg, local.attr_names(), reports, files);
-        meta.save(result.metadata_path);
-        // The metadata file is part of the written volume; leaving it out
-        // inflates effective-bandwidth numbers (Fig 5).
-        result.bytes_written += std::filesystem::file_size(result.metadata_path);
+        publish_metadata(agg, local.attr_names(), std::move(reports), config, result);
     }
     // Everyone learns the metadata path is ready.
     comm.barrier();
     metadata_span.close();
 
+    auto& metrics = obs::MetricsRegistry::global();
     metrics.counter("write.bytes_written").add(static_cast<std::int64_t>(result.bytes_written));
     metrics.counter("write.files").add(static_cast<std::int64_t>(my_reports.size()));
     obs::record_rank_value("write.bytes_written", result.bytes_written);
@@ -654,22 +649,17 @@ WriteResult write_particles_serial(std::span<const ParticleSet> per_rank,
     BAT_CHECK(per_rank.size() == rank_bounds.size());
     BAT_CHECK(!per_rank.empty());
     WriteResult result;
-    const int nranks = static_cast<int>(per_rank.size());
-    const std::size_t nattrs = per_rank[0].num_attrs();
-
     std::vector<RankInfo> infos(per_rank.size());
     for (std::size_t r = 0; r < per_rank.size(); ++r) {
         infos[r] = RankInfo{rank_bounds[r], per_rank[r].count()};
     }
-    AggTreeConfig tree_config = config.tree;
-    tree_config.bytes_per_particle = per_rank[0].bytes_per_particle();
-    Aggregation agg = build_aggregation(infos, config.strategy, tree_config, config.pool);
-    assign_strategy_aggregators(agg, config.strategy, nranks);
+    const Aggregation agg = plan_aggregation(infos, config, per_rank[0].bytes_per_particle());
     result.num_leaves = static_cast<int>(agg.leaves.size());
 
+    // Each leaf concatenates its ranks in leaf.ranks order, the order the
+    // collective transfer places its senders in.
     std::filesystem::create_directories(config.directory);
     std::vector<LeafReport> reports;
-    std::vector<std::string> files;
     for (std::size_t leaf_id = 0; leaf_id < agg.leaves.size(); ++leaf_id) {
         const AggLeaf& leaf = agg.leaves[leaf_id];
         ParticleSet merged(per_rank[0].attr_names());
@@ -677,26 +667,11 @@ WriteResult write_particles_serial(std::span<const ParticleSet> per_rank,
         for (int r : leaf.ranks) {
             merged.append(per_rank[static_cast<std::size_t>(r)]);
         }
-        BatData bat = build_bat(std::move(merged), config.bat, config.pool);
-        const std::string file = leaf_file_name(config.basename, static_cast<int>(leaf_id));
-        result.bytes_written += write_bat_file(config.directory / file, bat);
-        files.push_back(file);
-
-        LeafReport report;
-        report.leaf_id = static_cast<int>(leaf_id);
-        report.num_particles = bat.particles.count();
-        report.ranges = bat.attr_ranges;
-        report.edges = bat.attr_edges;
-        report.root_bitmaps.resize(nattrs);
-        for (std::size_t a = 0; a < nattrs; ++a) {
-            report.root_bitmaps[a] = bat.root_bitmap(a);
-        }
-        reports.push_back(std::move(report));
+        reports.push_back(
+            write_leaf(static_cast<int>(leaf_id), std::move(merged), config, nullptr, result));
     }
-    const Metadata meta = build_metadata(agg, per_rank[0].attr_names(), reports, files);
-    result.metadata_path = config.directory / (config.basename + ".batmeta");
-    meta.save(result.metadata_path);
-    result.bytes_written += std::filesystem::file_size(result.metadata_path);
+    result.metadata_path = metadata_path(config);
+    publish_metadata(agg, per_rank[0].attr_names(), std::move(reports), config, result);
     return result;
 }
 

@@ -35,17 +35,9 @@ enum class AggStrategy {
 const char* to_string(AggStrategy s);
 
 /// Knobs for incremental (delta) series writes. Only consulted when a
-/// WritePlan is passed to write_particles; one-shot writes are unaffected.
+/// WritePlan is passed to write_particles, which is exactly when delta
+/// writes are on; one-shot writes are unaffected.
 struct DeltaWriteConfig {
-    /// Master switch: when false the plan still caches the aggregation
-    /// tree (phase reuse) but every BAT is written in full.
-    bool enabled = true;
-    /// Maximum per-rank particle-count drift, as a fraction of the rank's
-    /// previous count, under which the cached aggregation tree and
-    /// aggregator assignment are reused (skipping gather→tree_build→
-    /// scatter). Any rank whose bounds changed, whose empty/non-empty
-    /// status flipped, or whose count drifted more forces a full replan.
-    double max_rank_drift = 0.3;
     /// Every keyframe_interval-th step a series writes full (all-inline)
     /// BAT files, bounding how far back a delta chain can reach. Enforced
     /// by SeriesWriter via force_keyframe.
@@ -98,7 +90,8 @@ struct WriteResult {
     bool reused_plan = false;            // gather→tree→scatter skipped
     std::uint64_t delta_treelets_clean = 0;    // this rank, written by reference
     std::uint64_t delta_treelets_written = 0;  // this rank, written inline
-    std::uint64_t delta_bytes_saved = 0;       // this rank, estimated
+    std::uint64_t delta_bytes_saved = 0;       // this rank: on-disk bytes
+                                               // of the referenced blocks
     int leaves_unchanged = 0;            // leaves whose file was not rewritten
 };
 
@@ -115,11 +108,12 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
 
 /// Collective, incremental: like write_particles, but carries state from
 /// the previous step in `plan` (owned by the caller, one per rank, reused
-/// across steps). When the per-rank drift stays under
-/// DeltaWriteConfig::max_rank_drift the cached aggregation tree and
-/// aggregator assignment are reused, and unchanged treelets are written as
-/// references into the prior step's files (see bat_file.hpp). A null plan
-/// degrades to the one-shot path.
+/// across steps). When every rank keeps its bounds and empty/non-empty
+/// status and its particle count moves by at most 30% of its previous
+/// count, the cached aggregation tree and aggregator assignment are reused
+/// (skipping gather→tree_build→scatter); otherwise the step replans.
+/// Unchanged treelets are written as references into the prior step's
+/// files (see bat_file.hpp). A null plan degrades to the one-shot path.
 WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
                             const Box& local_bounds, const WriterConfig& config,
                             WritePlan* plan);
@@ -160,10 +154,13 @@ Aggregation build_aggregation(std::span<const RankInfo> ranks, AggStrategy strat
 std::uint64_t recommend_target_size(std::uint64_t total_particles,
                                     std::uint64_t bytes_per_particle, int nranks);
 
-/// Serial (single-process) writer: runs the same aggregation + BAT-build +
-/// metadata code path over a globally available particle set partitioned
-/// into per-rank pieces. Used by visualization benchmarks and examples to
-/// produce data sets "written at N ranks" without running N threads.
+/// Serial (single-process) writer over a globally available particle set
+/// partitioned into per-rank pieces: builds the aggregation in-process,
+/// concatenates each leaf's ranks in leaf order and hands every leaf to the
+/// collective writer's own leaf-write and metadata stages, so its files are
+/// byte-identical to a planless write_particles of the same pieces. Used by
+/// visualization benchmarks and examples to produce data sets "written at
+/// N ranks" without running N rank threads.
 WriteResult write_particles_serial(std::span<const ParticleSet> per_rank,
                                    std::span<const Box> rank_bounds,
                                    const WriterConfig& config);

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,12 @@ public:
 private:
     std::filesystem::path path_;
 };
+
+/// Whole contents of a file (empty when it cannot be opened).
+inline std::string file_bytes(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
 
 /// Brute-force reference: indices of particles inside `box` (and matching
 /// an optional attribute range).

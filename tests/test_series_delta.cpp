@@ -2,7 +2,8 @@
 // delta chains versus full rewrites on every timestep — via Dataset, the
 // collective read_particles, DataService query rounds, and the
 // LeafFileCache — plus non-vacuity of the delta path (plan reuse, clean
-// treelets, keyframes) and drift-forced replans.
+// treelets, keyframes), drift-forced replans, and reused plans whose
+// per-rank counts drifted under the replan threshold.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "io/series.hpp"
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
+#include "workloads/boiler.hpp"
 #include "workloads/decomposition.hpp"
 #include "workloads/uniform.hpp"
 
@@ -292,7 +294,7 @@ TEST(SeriesDeltaTest, DriftForcesReplanAndStaysCorrect) {
         const auto rank0 = partition_particles(small, decomp);
         writer.write_timestep(comm, 0, rank0[static_cast<std::size_t>(r)],
                               decomp.rank_box(r));
-        // >125% growth on every rank blows through max_rank_drift (0.3).
+        // >125% growth on every rank blows through the 30% replan threshold.
         const auto rank1 = partition_particles(big, decomp);
         const WriteResult wr = writer.write_timestep(
             comm, 1, rank1[static_cast<std::size_t>(r)], decomp.rank_box(r));
@@ -313,6 +315,79 @@ TEST(SeriesDeltaTest, DriftForcesReplanAndStaysCorrect) {
     Dataset ds = reader.open_timestep(1);
     EXPECT_EQ(testing::particle_keys(ds.collect(BatQuery{})),
               testing::particle_keys(big));
+}
+
+TEST(SeriesDeltaTest, DriftedReusedPlanWritesSameFilesAsPlanless) {
+    // Successive Coal Boiler steps move particles across rank boundaries
+    // and grow a rank by at most ~14% per step (under the 30% replan
+    // threshold), so the reused plan's cached per-sender counts are stale
+    // while the fresh tree still picks the same two leaves. Written as
+    // keyframes (all treelets inline), each step's leaf files and metadata
+    // must equal a planless write_particles of the same step byte for byte.
+    testing::TempDir dir;
+    constexpr int kBoilerRanks = 8;
+    BoilerConfig boiler;
+    boiler.particles_at_start = 5'000;
+    boiler.particles_at_end = 45'000;
+    const std::vector<int> steps{2101, 2201, 2301, 2401};
+    const GridDecomp decomp = grid_decomp_3d(kBoilerRanks, boiler.domain);
+    std::vector<std::vector<ParticleSet>> per_step;
+    for (const int t : steps) {
+        per_step.push_back(partition_particles(make_boiler_particles(boiler, t), decomp));
+    }
+    WriterConfig config;
+    config.tree.target_file_size = 1 << 20;  // multi-rank leaves
+    config.directory = dir.path();
+    config.basename = "series";
+    config.delta.keyframe_interval = 1;
+    // [step][rank] results of the plan-carrying and the planless writes.
+    std::vector<std::vector<WriteResult>> planned(
+        steps.size(), std::vector<WriteResult>(kBoilerRanks));
+    std::vector<std::vector<WriteResult>> planless = planned;
+    vmpi::Runtime::run(kBoilerRanks, [&](vmpi::Comm& comm) {
+        const auto r = static_cast<std::size_t>(comm.rank());
+        SeriesWriter writer(config);
+        for (std::size_t s = 0; s < steps.size(); ++s) {
+            planned[s][r] = writer.write_timestep(comm, steps[s], per_step[s][r],
+                                                  decomp.rank_box(comm.rank()));
+            WriterConfig one_shot = config;  // same file names, own directory
+            one_shot.directory = dir.path() / "planless";
+            one_shot.basename = "series_t" + std::to_string(steps[s]);
+            planless[s][r] = write_particles(comm, per_step[s][r],
+                                             decomp.rank_box(comm.rank()), one_shot);
+        }
+    });
+
+    for (std::size_t s = 1; s < steps.size(); ++s) {
+        SCOPED_TRACE("step " + std::to_string(steps[s]));
+        bool drifted = false;
+        std::map<int, int> senders_per_leaf;
+        for (std::size_t r = 0; r < kBoilerRanks; ++r) {
+            ASSERT_TRUE(planned[s][r].reused_plan) << "rank " << r;
+            // Both writes chose the same leaves: same count, and every
+            // rank's particles went to the same leaf id.
+            ASSERT_EQ(planned[s][r].num_leaves, planless[s][r].num_leaves);
+            ASSERT_EQ(planned[s][r].my_leaf, planless[s][r].my_leaf) << "rank " << r;
+            drifted = drifted || per_step[s][r].count() != per_step[0][r].count();
+            if (!per_step[s][r].empty()) {
+                ++senders_per_leaf[planned[s][r].my_leaf];
+            }
+        }
+        EXPECT_TRUE(drifted);
+        EXPECT_TRUE(std::any_of(senders_per_leaf.begin(), senders_per_leaf.end(),
+                                [](const auto& leaf) { return leaf.second > 1; }));
+        const std::string name = "series_t" + std::to_string(steps[s]);
+        std::vector<std::string> files{name + ".batmeta"};
+        for (int leaf = 0; leaf < planned[s][0].num_leaves; ++leaf) {
+            files.push_back(name + "_" + std::to_string(leaf) + ".bat");
+        }
+        for (const std::string& file : files) {
+            ASSERT_TRUE(std::filesystem::exists(dir.path() / file)) << file;
+            EXPECT_EQ(testing::file_bytes(dir.path() / file),
+                      testing::file_bytes(dir.path() / "planless" / file))
+                << file;
+        }
+    }
 }
 
 /// Bytes inline treelet `t` of a BAT file spans on disk: from its block

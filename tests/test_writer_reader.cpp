@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iterator>
 #include <mutex>
 
@@ -273,24 +272,63 @@ TEST(WriterReaderTest, PhaseTimingsSelfConsistentAcrossStrategies) {
     }
 }
 
+/// Every file in `dir_a` exists in `dir_b` with the same bytes, and the two
+/// directories hold the same number of files.
+void expect_same_files(const std::filesystem::path& dir_a,
+                       const std::filesystem::path& dir_b) {
+    std::vector<std::filesystem::path> files_a;
+    for (const auto& e : std::filesystem::directory_iterator(dir_a)) {
+        files_a.push_back(e.path());
+    }
+    std::sort(files_a.begin(), files_a.end());
+    ASSERT_FALSE(files_a.empty());
+    const auto count_b = std::distance(std::filesystem::directory_iterator(dir_b),
+                                       std::filesystem::directory_iterator());
+    EXPECT_EQ(static_cast<std::size_t>(count_b), files_a.size());
+    for (const auto& fa : files_a) {
+        const auto fb = dir_b / fa.filename();
+        ASSERT_TRUE(std::filesystem::exists(fb)) << fb;
+        EXPECT_EQ(testing::file_bytes(fa), testing::file_bytes(fb)) << fa.filename();
+    }
+}
+
 TEST(WriterReaderTest, SerialWriterMatchesParallelPopulation) {
-    const testing::TempDir dir;
+    // The serial writer shares the collective writer's leaf-write and
+    // metadata stages: for every strategy, with single-rank (32 KiB) and
+    // multi-rank (1 MiB) leaves, its .bat and .batmeta files equal a
+    // collective write of the same pieces byte for byte.
     Scenario setup(6, 9'000, 2, 23);
     std::vector<Box> bounds;
     for (int r = 0; r < 6; ++r) {
         bounds.push_back(setup.decomp.rank_box(r));
     }
-    WriterConfig config = writer_config(dir.path() / "serial", AggStrategy::adaptive, 32 << 10);
-    const WriteResult result = write_particles_serial(setup.per_rank, bounds, config);
-    EXPECT_GT(result.num_leaves, 0);
+    for (const AggStrategy strategy :
+         {AggStrategy::adaptive, AggStrategy::aug, AggStrategy::file_per_process}) {
+        for (const std::uint64_t target : {std::uint64_t{32} << 10, std::uint64_t{1} << 20}) {
+            SCOPED_TRACE(std::string(to_string(strategy)) + " target " +
+                         std::to_string(target));
+            const testing::TempDir dir;
+            const WriteResult result = write_particles_serial(
+                setup.per_rank, bounds, writer_config(dir.path() / "serial", strategy, target));
+            EXPECT_GT(result.num_leaves, 0);
+            vmpi::Runtime::run(6, [&](vmpi::Comm& comm) {
+                const auto r = static_cast<std::size_t>(comm.rank());
+                const WriteResult collective = write_particles(
+                    comm, setup.per_rank[r], bounds[r],
+                    writer_config(dir.path() / "collective", strategy, target));
+                EXPECT_EQ(collective.num_leaves, result.num_leaves);
+            });
+            expect_same_files(dir.path() / "serial", dir.path() / "collective");
 
-    // Read everything back through one reading rank.
-    ParticleSet all(setup.global.attr_names());
-    vmpi::Runtime::run(1, [&](vmpi::Comm& comm) {
-        const ReadResult r = read_particles(comm, result.metadata_path, kDomain);
-        all.append(r.particles);
-    });
-    EXPECT_EQ(testing::particle_keys(all), testing::particle_keys(setup.global));
+            // Read everything back through one reading rank.
+            ParticleSet all(setup.global.attr_names());
+            vmpi::Runtime::run(1, [&](vmpi::Comm& comm) {
+                const ReadResult r = read_particles(comm, result.metadata_path, kDomain);
+                all.append(r.particles);
+            });
+            EXPECT_EQ(testing::particle_keys(all), testing::particle_keys(setup.global));
+        }
+    }
 }
 
 TEST(WriterReaderTest, ReadAggregatorAssignmentRules) {
@@ -374,6 +412,10 @@ TEST(WriterReaderTest, DeserializeIntoMatchesFromBytes) {
         }
     }
 
+    // The header count the aggregator reserves its merged set from.
+    EXPECT_EQ(ParticleSet::wire_count(wire), src.count());
+    EXPECT_EQ(ParticleSet::wire_count(ParticleSet(src.attr_names()).to_bytes()), 0u);
+
     // append_from_bytes agrees with the old from_bytes + append path.
     ParticleSet appended(src.attr_names());
     EXPECT_EQ(appended.append_from_bytes(wire), src.count());
@@ -396,24 +438,7 @@ TEST(WriterReaderTest, RepeatedWritesProduceIdenticalFiles) {
     const testing::TempDir dir_b;
     write_once(dir_a.path());
     write_once(dir_b.path());
-
-    std::vector<std::filesystem::path> files_a;
-    for (const auto& e : std::filesystem::directory_iterator(dir_a.path())) {
-        files_a.push_back(e.path());
-    }
-    std::sort(files_a.begin(), files_a.end());
-    ASSERT_FALSE(files_a.empty());
-    for (const auto& fa : files_a) {
-        const auto fb = dir_b.path() / fa.filename();
-        ASSERT_TRUE(std::filesystem::exists(fb)) << fb;
-        std::ifstream a(fa, std::ios::binary);
-        std::ifstream b(fb, std::ios::binary);
-        const std::string bytes_a((std::istreambuf_iterator<char>(a)),
-                                  std::istreambuf_iterator<char>());
-        const std::string bytes_b((std::istreambuf_iterator<char>(b)),
-                                  std::istreambuf_iterator<char>());
-        EXPECT_EQ(bytes_a, bytes_b) << fa.filename();
-    }
+    expect_same_files(dir_a.path(), dir_b.path());
 }
 
 TEST(WriterReaderTest, AnySourceTransferPassesProtocolValidation) {

@@ -34,8 +34,10 @@
 #include "io/data_service.hpp"
 #include "io/leaf_cache.hpp"
 #include "io/reader.hpp"
+#include "io/series.hpp"
 #include "io/writer.hpp"
 #include "sched/sched.hpp"
+#include "util/check.hpp"
 #include "util/thread_pool.hpp"
 #include "vmpi/comm.hpp"
 #include "workloads/decomposition.hpp"
@@ -50,8 +52,12 @@ using bat::sched::RunResult;
 const bat::Box kDomain({0, 0, 0}, {4, 4, 4});
 
 /// Writer → reader → DataService round: the pipeline the CI sweep guards.
-/// Small sizes keep one seed in the tens of milliseconds; the schedule
-/// freedom comes from 2 ranks + 2 pool workers, not from data volume.
+/// The writer runs two SeriesWriter steps, so the transfer merge runs under
+/// a fresh plan and then under a reused plan whose cached per-rank counts
+/// are stale (rank 0 drops 10% of its particles, under the replan
+/// threshold); the reads then go to the second step. Small sizes keep one
+/// seed in the tens of milliseconds; the schedule freedom comes from
+/// 2 ranks + 2 pool workers, not from data volume.
 void scenario_round() {
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() /
@@ -73,6 +79,10 @@ void scenario_round() {
     bat::ThreadPool pool(2);
     bat::LeafFileCache cache(16);
 
+    // Step 1: rank 0 keeps the first 90% of its particles.
+    std::vector<bat::ParticleSet> drifted = per_rank;
+    drifted[0].resize(drifted[0].count() * 9 / 10);
+
     std::filesystem::path meta_path;
     bat::vmpi::Runtime::run(nranks, [&](bat::vmpi::Comm& comm) {
         bat::WriterConfig config;
@@ -81,10 +91,15 @@ void scenario_round() {
         config.directory = dir;
         config.basename = "ts";
         config.pool = &pool;
-        const bat::WriteResult result = bat::write_particles(
-            comm, per_rank[static_cast<std::size_t>(comm.rank())],
-            decomp.rank_box(comm.rank()), config);
-        meta_path = result.metadata_path;
+        const auto r = static_cast<std::size_t>(comm.rank());
+        bat::SeriesWriter writer(config);
+        writer.write_timestep(comm, 0, per_rank[r], decomp.rank_box(comm.rank()));
+        const bat::WriteResult result =
+            writer.write_timestep(comm, 1, drifted[r], decomp.rank_box(comm.rank()));
+        BAT_CHECK_MSG(result.reused_plan, "round: step 1 did not reuse the plan");
+        if (comm.rank() == 0) {
+            meta_path = result.metadata_path;
+        }
     });
 
     bat::vmpi::Runtime::run(nranks, [&](bat::vmpi::Comm& comm) {
