@@ -1,9 +1,10 @@
 // build_bat stages, in order: attribute ranges/edges, Morton encode, the
-// Morton sort, treelet k-d builds, final particle reorder, bitmaps (each a
-// bat.* phase span). The sort is bucket-first (util/radix_sort): its
-// counting pass buckets by the shallow-tree subprefix, so the non-empty
-// buckets come out as the treelets' particle ranges, each already in Morton
-// order, and their subprefixes are the Karras tree's input.
+// subprefix bucket pass (the global steps, on the aggregator); then per
+// treelet-range job the in-bucket Morton sort, treelet k-d builds, reorder
+// into layout order and bitmaps; then the shallow tree. Each is a bat.*
+// phase span. The bucket pass (util/radix_sort) buckets by the shallow-tree
+// subprefix, so the non-empty buckets are the treelets' particle ranges and
+// their subprefixes are the Karras tree's input before any bucket is sorted.
 
 #include "core/bat_builder.hpp"
 
@@ -11,7 +12,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
-#include <numeric>
+#include <memory>
 
 #include "core/karras.hpp"
 #include "obs/trace.hpp"
@@ -162,16 +163,10 @@ struct PosRecord {
 };
 static_assert(sizeof(PosRecord) == 16);
 
-/// Working state shared by the build steps.
+/// Working state shared by the treelet builds of one job.
 struct BuildContext {
     const BatConfig& config;
     std::span<PosRecord> recs;  // Morton-ordered, permuted by treelet builds
-    Box bounds;
-
-    Vec3 pos(std::uint32_t ordered_index) const {
-        const PosRecord& r = recs[ordered_index];
-        return {r.p[0], r.p[1], r.p[2]};
-    }
 };
 
 /// Tight bounds of the ordered range [lo, hi). The records are contiguous,
@@ -257,39 +252,360 @@ struct TreeletBuilder {
     }
 };
 
-/// Compute per-node bitmaps for one treelet. Nodes are preorder so children
+/// Particle columns as raw bytes: interleaved xyz (12 bytes a row) and one
+/// 8-byte column per attribute. Rows move with memcpy, so a job reads its
+/// particles straight out of the job message and writes its results
+/// straight into the result message, where columns need not be aligned;
+/// a local job points the same views at ParticleSet arrays.
+template <typename Byte>
+struct ColumnsOf {
+    Byte* pos = nullptr;
+    std::vector<Byte*> attrs;
+
+    ColumnsOf rows_from(std::size_t row) const {
+        ColumnsOf c{pos + 12 * row, attrs};
+        for (Byte*& a : c.attrs) {
+            a += 8 * row;
+        }
+        return c;
+    }
+};
+using SrcColumns = ColumnsOf<const std::byte>;
+using DstColumns = ColumnsOf<std::byte>;
+
+SrcColumns columns_of(const ParticleSet& set) {
+    SrcColumns c{reinterpret_cast<const std::byte*>(set.positions().data()), {}};
+    for (std::size_t a = 0; a < set.num_attrs(); ++a) {
+        c.attrs.push_back(reinterpret_cast<const std::byte*>(set.attr(a).data()));
+    }
+    return c;
+}
+
+DstColumns columns_of(ParticleSet& set) {
+    DstColumns c{reinterpret_cast<std::byte*>(set.positions_mut().data()), {}};
+    for (std::size_t a = 0; a < set.num_attrs(); ++a) {
+        c.attrs.push_back(reinterpret_cast<std::byte*>(set.attr_mut(a).data()));
+    }
+    return c;
+}
+
+/// Columns of the ParticleSet wire payload (ParticleSet::serialize) that
+/// starts at r's position; checks its size and moves r past it.
+template <typename Byte>
+ColumnsOf<Byte> wire_columns(std::span<Byte> bytes, BufferReader& r, std::size_t count,
+                             std::size_t nattrs) {
+    BAT_CHECK_MSG(r.read<std::uint64_t>() == count, "particle payload count mismatch");
+    BAT_CHECK_MSG(r.read<std::uint32_t>() == nattrs, "particle payload schema mismatch");
+    for (std::size_t a = 0; a < nattrs; ++a) {
+        r.read_string();
+    }
+    BAT_CHECK_MSG(count <= r.remaining() / (12 + 8 * nattrs), "particle payload overruns");
+    ColumnsOf<Byte> c{bytes.data() + r.pos(), {}};
+    for (std::size_t a = 0; a < nattrs; ++a) {
+        c.attrs.push_back(c.pos + 12 * count + 8 * count * a);
+    }
+    r.skip((12 + 8 * nattrs) * count);
+    return c;
+}
+
+/// Compute per-node bitmaps of attribute `a` for one treelet whose values
+/// (in layout order) start at `values`. Nodes are preorder so children
 /// always have larger indices: a reverse sweep sees children before parents.
 /// Every particle is owned by exactly one node (LOD samples by their inner
 /// node, the rest by leaves), so the bins of the treelet's whole contiguous
 /// attribute span are computed once with the vectorized edge-compare kernel
-/// and the per-node OR just consumes the precomputed u8 bins.
-void compute_treelet_bitmaps(const ParticleSet& particles, Treelet& treelet,
-                             std::span<const BinEdges> edges) {
-    const std::size_t nattrs = edges.size();
-    treelet.bitmaps.assign(treelet.nodes.size() * nattrs, 0);
-    if (nattrs == 0) {
-        return;
-    }
-    std::vector<std::uint8_t> bins(treelet.num_particles);
-    for (std::size_t a = 0; a < nattrs; ++a) {
-        const double* values = particles.attr(a).data() + treelet.first_particle;
-        simd::bin_values_batch(values, treelet.num_particles, edges[a].data(), bins.data());
-        for (std::size_t i = treelet.nodes.size(); i-- > 0;) {
-            const TreeletNode& node = treelet.nodes[i];
-            // Bits of the node's own points (all points for leaves, the LOD
-            // samples for inner nodes), then the children's OR.
-            std::uint32_t bm = 0;
-            for (std::uint32_t p = node.start; p < node.start + node.own_count; ++p) {
-                bm |= 1u << bins[p];
-            }
-            if (!node.is_leaf()) {
-                const std::size_t l = i + 1;
-                const auto r = static_cast<std::size_t>(node.right_child);
-                bm |= treelet.bitmaps[l * nattrs + a] | treelet.bitmaps[r * nattrs + a];
-            }
-            treelet.bitmaps[i * nattrs + a] = bm;
+/// and the per-node OR just consumes the precomputed u8 bins. The values
+/// are binned in place when 8-byte aligned (ParticleSet arrays always are;
+/// a reply buffer holds the doubles its job memcpy'd there), else through a
+/// small aligned copy.
+void compute_treelet_bitmaps(Treelet& treelet, std::size_t a, std::size_t nattrs,
+                             const std::byte* values, const BinEdges& edges,
+                             std::vector<std::uint8_t>& bins) {
+    bins.resize(treelet.num_particles);
+    if (reinterpret_cast<std::uintptr_t>(values) % alignof(double) == 0) {
+        simd::bin_values_batch(reinterpret_cast<const double*>(values), treelet.num_particles,
+                               edges.data(), bins.data());
+    } else {
+        constexpr std::size_t kChunk = 512;
+        double chunk[kChunk];
+        for (std::size_t i = 0; i < treelet.num_particles; i += kChunk) {
+            const std::size_t len = std::min<std::size_t>(kChunk, treelet.num_particles - i);
+            std::memcpy(chunk, values + 8 * i, 8 * len);
+            simd::bin_values_batch(chunk, len, edges.data(), bins.data() + i);
         }
     }
+    for (std::size_t i = treelet.nodes.size(); i-- > 0;) {
+        const TreeletNode& node = treelet.nodes[i];
+        // Bits of the node's own points (all points for leaves, the LOD
+        // samples for inner nodes), then the children's OR.
+        std::uint32_t bm = 0;
+        for (std::uint32_t p = node.start; p < node.start + node.own_count; ++p) {
+            bm |= 1u << bins[p];
+        }
+        if (!node.is_leaf()) {
+            const std::size_t l = i + 1;
+            const auto r = static_cast<std::size_t>(node.right_child);
+            bm |= treelet.bitmaps[l * nattrs + a] | treelet.bitmaps[r * nattrs + a];
+        }
+        treelet.bitmaps[i * nattrs + a] = bm;
+    }
+}
+
+/// Content hash of one finished treelet (delta detection) whose rows start
+/// at `rows`: covers exactly the per-treelet payload serialize_bat writes
+/// (counts, depth, bounds, nodes, bitmaps, positions, attribute values) so
+/// hash equality implies byte-identical treelet blocks on disk.
+std::uint64_t treelet_hash(const Treelet& treelet, const DstColumns& rows) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    // Word-wise multiply-xorshift mix: the hash only ever meets hashes
+    // computed by this same code on the previous step (it is never
+    // persisted), and byte-at-a-time FNV would make the hash pass cost as
+    // much as the delta path saves on file writes.
+    auto mix = [&h](const void* data, std::size_t bytes) {
+        const auto* p = static_cast<const unsigned char*>(data);
+        std::size_t i = 0;
+        for (; i + 8 <= bytes; i += 8) {
+            std::uint64_t w;
+            std::memcpy(&w, p + i, 8);
+            h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+            h ^= h >> 29;
+        }
+        if (i < bytes) {
+            std::uint64_t tail = 0;
+            std::memcpy(&tail, p + i, bytes - i);
+            h = (h ^ (tail + bytes)) * 0x9e3779b97f4a7c15ull;
+            h ^= h >> 29;
+        }
+    };
+    mix(&treelet.num_particles, sizeof(treelet.num_particles));
+    mix(&treelet.max_depth, sizeof(treelet.max_depth));
+    mix(&treelet.bounds, sizeof(treelet.bounds));
+    mix(treelet.nodes.data(), treelet.nodes.size() * sizeof(TreeletNode));
+    mix(treelet.bitmaps.data(), treelet.bitmaps.size() * sizeof(std::uint32_t));
+    mix(rows.pos, 12 * std::size_t{treelet.num_particles});
+    for (const std::byte* attr : rows.attrs) {
+        mix(attr, 8 * std::size_t{treelet.num_particles});
+    }
+    return h;
+}
+
+/// One treelet-range job: a contiguous run of subprefix buckets, built from
+/// `src` into the job's rows of `dst` (row 0 of `dst` is the job's first).
+struct RangeJob {
+    std::span<KeyIndex> pairs;                   // bucket order; index = src row
+    std::span<const std::uint32_t> begin;        // bucket offsets into the
+                                                 // leaf (buckets + 1)
+    std::span<const std::uint32_t> group_begin;  // global treelet index of each
+                                                 // bucket's first treelet (+ end)
+    SrcColumns src;
+    DstColumns dst;
+    std::size_t first_row = 0;                   // the job's first layout row
+    std::span<Treelet> treelets;                 // this job's treelets
+
+    std::size_t num_buckets() const { return begin.size() - 1; }
+
+    /// The job over buckets [k0, k1) of this one.
+    RangeJob slice(std::size_t k0, std::size_t k1) const {
+        RangeJob sub = *this;
+        const std::size_t at = begin[k0] - begin[0];
+        sub.pairs = pairs.subspan(at, begin[k1] - begin[k0]);
+        sub.begin = begin.subspan(k0, k1 - k0 + 1);
+        sub.group_begin = group_begin.subspan(k0, k1 - k0 + 1);
+        sub.dst = dst.rows_from(at);
+        sub.first_row = first_row + at;
+        sub.treelets = treelets.subspan(group_begin[k0] - group_begin[0],
+                                        group_begin[k1] - group_begin[k0]);
+        return sub;
+    }
+};
+
+/// Run one job serially: in-bucket sort, treelet builds, reorder into
+/// layout order, bitmaps and hashes. `config` carries the effective
+/// subprefix length; a bucket holds one treelet per distinct subprefix.
+void run_range(const RangeJob& job, const BatConfig& config, std::span<const BinEdges> edges,
+               BatBuildTimings* timings) {
+    auto accum = [timings](double BatBuildTimings::*field) -> double* {
+        return timings != nullptr ? &(timings->*field) : nullptr;
+    };
+    const std::size_t nb = job.num_buckets();
+    const std::uint32_t base = job.begin[0];
+    const std::size_t m = job.pairs.size();
+    if (m == 0) {
+        return;
+    }
+    {
+        obs::PhaseSpan span("bat.sort", accum(&BatBuildTimings::sort));
+        std::size_t widest = 0;
+        for (std::size_t k = 0; k < nb; ++k) {
+            widest = std::max<std::size_t>(widest, job.begin[k + 1] - job.begin[k]);
+        }
+        std::vector<KeyIndex> tmp(widest);
+        for (std::size_t k = 0; k < nb; ++k) {
+            sort_bucket(job.pairs.data() + (job.begin[k] - base), tmp.data(),
+                        job.begin[k + 1] - job.begin[k]);
+        }
+    }
+
+    // Gather positions into Morton order as 16-byte {x, y, z, rank}
+    // records: every later access (treelet bounds, k-d medians, LOD swaps)
+    // then runs over contiguous memory. The builds permute the records in
+    // place; afterwards the record sequence is the layout order and
+    // recs[i].rank names the sorted pair it came from.
+    obs::PhaseSpan treelet_span("bat.treelets", accum(&BatBuildTimings::treelets));
+    std::vector<PosRecord> recs(m);
+    for (std::size_t i = 0; i < m; ++i) {
+        std::memcpy(recs[i].p, job.src.pos + 12 * std::size_t{job.pairs[i].index}, 12);
+        recs[i].rank = static_cast<std::uint32_t>(i);
+    }
+    BuildContext ctx{config, recs};
+    const int group_shift = kMortonBits - config.subprefix_bits;
+    std::size_t t = 0;
+    auto build_treelet = [&](std::uint32_t lo, std::uint32_t hi) {
+        Treelet& treelet = job.treelets[t];
+        treelet.first_particle = lo;  // job-relative until the job ends
+        treelet.num_particles = hi - lo;
+        treelet.bounds = range_bounds(ctx, lo, hi);
+        const std::uint64_t global_index = job.group_begin[0] + t;
+        TreeletBuilder builder{ctx, treelet, Pcg32(mix_seed(config.seed, global_index))};
+        builder.build(lo, hi, 0);
+        ++t;
+    };
+    for (std::size_t k = 0; k < nb; ++k) {
+        // Subprefixes longer than the bucket field split a sorted bucket.
+        const std::uint32_t lo = job.begin[k] - base;
+        const std::uint32_t hi = job.begin[k + 1] - base;
+        std::uint32_t start = lo;
+        for (std::uint32_t i = lo + 1; i < hi; ++i) {
+            if ((job.pairs[i].key >> group_shift) != (job.pairs[i - 1].key >> group_shift)) {
+                build_treelet(start, i);
+                start = i;
+            }
+        }
+        build_treelet(start, hi);
+        BAT_CHECK_MSG(t == job.group_begin[k + 1] - job.group_begin[0],
+                      "bucket " << k << " holds an unexpected number of treelets");
+    }
+    treelet_span.close();
+
+    {
+        // Positions come straight out of the permuted records; attributes
+        // gather through the composed permutation src_row[i].
+        obs::PhaseSpan span("bat.reorder", accum(&BatBuildTimings::reorder));
+        std::vector<std::uint32_t> src_row(m);
+        for (std::size_t i = 0; i < m; ++i) {
+            src_row[i] = job.pairs[recs[i].rank].index;
+            std::memcpy(job.dst.pos + 12 * i, recs[i].p, 12);
+        }
+        for (std::size_t a = 0; a < job.src.attrs.size(); ++a) {
+            const std::byte* from = job.src.attrs[a];
+            std::byte* to = job.dst.attrs[a];
+            for (std::size_t i = 0; i < m; ++i) {
+                std::memcpy(to + 8 * i, from + 8 * std::size_t{src_row[i]}, 8);
+            }
+        }
+    }
+
+    obs::PhaseSpan span("bat.bitmaps", accum(&BatBuildTimings::bitmaps));
+    const std::size_t nattrs = edges.size();
+    std::vector<std::uint8_t> bins;
+    for (Treelet& treelet : job.treelets) {
+        const DstColumns rows = job.dst.rows_from(treelet.first_particle);
+        treelet.bitmaps.assign(treelet.nodes.size() * nattrs, 0);
+        for (std::size_t a = 0; a < nattrs; ++a) {
+            compute_treelet_bitmaps(treelet, a, nattrs, rows.attrs[a], edges[a], bins);
+        }
+        if (config.hash_treelets) {
+            treelet.hash = treelet_hash(treelet, rows);
+        }
+        treelet.first_particle += static_cast<std::uint32_t>(job.first_row);
+    }
+}
+
+/// Run a job over `pool`: cut into bucket groups of about equal particle
+/// counts, one task each (the bytes do not depend on the cut). The pooled
+/// wall time is split over the sort/treelets/reorder/bitmaps rows in
+/// proportion to the groups' summed time, so the rows still tile it.
+void run_job(const RangeJob& job, const BatConfig& config, std::span<const BinEdges> edges,
+             ThreadPool* pool, BatBuildTimings* timings) {
+    const std::size_t nb = job.num_buckets();
+    const std::size_t n = job.pairs.size();
+    if (pool == nullptr || pool->num_threads() == 0 || nb < 2) {
+        run_range(job, config, edges, timings);
+        return;
+    }
+    const std::size_t ngroups = std::min(nb, 4 * (pool->num_threads() + 1));
+    const std::uint32_t base = job.begin[0];
+    auto first = [&](std::size_t g) {  // first bucket starting at or after g's share
+        const std::size_t at = base + g * n / ngroups;
+        return static_cast<std::size_t>(
+            std::partition_point(job.begin.begin(), job.begin.end() - 1,
+                                 [&](std::uint32_t b) { return b < at; }) -
+            job.begin.begin());
+    };
+    std::vector<BatBuildTimings> parts(ngroups);
+    const auto t0 = obs::trace_now_ns();
+    pool->parallel_for(
+        0, ngroups,
+        [&](std::size_t g) {
+            run_range(job.slice(first(g), first(g + 1)), config, edges, &parts[g]);
+        },
+        1);
+    if (timings == nullptr) {
+        return;
+    }
+    BatBuildTimings sum;
+    for (const BatBuildTimings& part : parts) {
+        sum += part;
+    }
+    const double busy = sum.sort + sum.treelets + sum.reorder + sum.bitmaps;
+    const double scale =
+        busy > 0 ? static_cast<double>(obs::trace_now_ns() - t0) * 1e-9 / busy : 0.0;
+    timings->sort += sum.sort * scale;
+    timings->treelets += sum.treelets * scale;
+    timings->reorder += sum.reorder * scale;
+    timings->bitmaps += sum.bitmaps * scale;
+}
+
+// ---- job wire format ------------------------------------------------------
+// Job:    seed u64, lod_per_inner i32, max_leaf_size i32, subprefix_bits i32,
+//         hash_treelets u8, buckets u32, begin u32[buckets + 1] (from 0),
+//         group_begin u32[buckets + 1] (global), attrs u32, per attribute
+//         kBitmapBins + 1 f64 edges, codes u64[n], then the particles in
+//         stable bucket order (ParticleSet wire format).
+// Result: two messages. Treelets: count u32, per treelet bounds,
+//         first_particle (job-relative), num_particles, max_depth, hash,
+//         nodes, bitmaps. Particles: the job's particles in layout order
+//         (ParticleSet wire format), written in place by the job.
+
+void write_treelet(BufferWriter& w, const Treelet& t) {
+    w.write(t.bounds);
+    w.write(t.first_particle);
+    w.write(t.num_particles);
+    w.write(t.max_depth);
+    w.write(t.hash);
+    w.write(static_cast<std::uint32_t>(t.nodes.size()));
+    w.write_span(std::span<const TreeletNode>(t.nodes));
+    w.write(static_cast<std::uint32_t>(t.bitmaps.size()));
+    w.write_span(std::span<const std::uint32_t>(t.bitmaps));
+}
+
+Treelet read_treelet(BufferReader& r) {
+    Treelet t;
+    t.bounds = r.read<Box>();
+    t.first_particle = r.read<std::uint32_t>();
+    t.num_particles = r.read<std::uint32_t>();
+    t.max_depth = r.read<std::int32_t>();
+    t.hash = r.read<std::uint64_t>();
+    const auto nodes = r.read<std::uint32_t>();
+    BAT_CHECK_MSG(nodes <= r.remaining() / sizeof(TreeletNode), "treelet node count overruns");
+    t.nodes.resize(nodes);
+    r.read_into(std::span<TreeletNode>(t.nodes));
+    const auto bitmaps = r.read<std::uint32_t>();
+    BAT_CHECK_MSG(bitmaps <= r.remaining() / sizeof(std::uint32_t),
+                  "treelet bitmap count overruns");
+    t.bitmaps.resize(bitmaps);
+    r.read_into(std::span<std::uint32_t>(t.bitmaps));
+    return t;
 }
 
 }  // namespace
@@ -301,6 +617,7 @@ BatBuildTimings& BatBuildTimings::operator+=(const BatBuildTimings& o) {
     treelets += o.treelets;
     reorder += o.reorder;
     bitmaps += o.bitmaps;
+    wait += o.wait;
     return *this;
 }
 
@@ -312,26 +629,54 @@ BatBuildTimings BatBuildTimings::max(const BatBuildTimings& a, const BatBuildTim
     m.treelets = std::max(a.treelets, b.treelets);
     m.reorder = std::max(a.reorder, b.reorder);
     m.bitmaps = std::max(a.bitmaps, b.bitmaps);
+    m.wait = std::max(a.wait, b.wait);
     return m;
 }
 
-BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* pool,
-                  BatBuildTimings* timings) {
+struct BatBuild::State {
+    const ParticleSet& src;
+    ThreadPool* pool;
+    BatBuildTimings* timings;
+    BatData bat;            // config (effective subprefix), ranges, edges, bounds
+    PrefixBuckets buckets;  // records in stable bucket order + offsets
+
+    double* accum(double BatBuildTimings::*field) const {
+        return timings != nullptr ? &(timings->*field) : nullptr;
+    }
+
+    RangeJob job(std::size_t b0, std::size_t b1) {
+        const std::span<const std::uint32_t> begin(buckets.begin);
+        const std::span<const std::uint32_t> group_begin(buckets.group_begin);
+        RangeJob job;
+        job.pairs = std::span<KeyIndex>(buckets.pairs).subspan(begin[b0], begin[b1] - begin[b0]);
+        job.begin = begin.subspan(b0, b1 - b0 + 1);
+        job.group_begin = group_begin.subspan(b0, b1 - b0 + 1);
+        job.src = columns_of(src);
+        job.dst = columns_of(bat.particles).rows_from(begin[b0]);
+        job.first_row = begin[b0];
+        job.treelets = std::span<Treelet>(bat.treelets)
+                           .subspan(group_begin[b0], group_begin[b1] - group_begin[b0]);
+        return job;
+    }
+};
+
+BatBuild::BatBuild(const ParticleSet& particles, const BatConfig& config, ThreadPool* pool,
+                   BatBuildTimings* timings)
+    : s_(std::make_unique<State>(State{particles, pool, timings, {}, {}})) {
     BAT_CHECK(config.subprefix_bits >= 1 && config.subprefix_bits <= 30);
     BAT_CHECK(config.lod_per_inner >= 1);
     BAT_CHECK(config.max_leaf_size >= 1);
+    BAT_CHECK_MSG(particles.count() <= static_cast<std::size_t>(UINT32_MAX),
+                  "a BAT indexes its particles with 32 bits");
 
-    BatData bat;
+    BatData& bat = s_->bat;
     bat.config = config;
     const std::size_t n = particles.count();
     const std::size_t nattrs = particles.num_attrs();
-    auto accum = [timings](double BatBuildTimings::*field) -> double* {
-        return timings != nullptr ? &(timings->*field) : nullptr;
-    };
 
     // ---- Attribute range/edge scans (independent per attribute) -----------
     {
-        obs::PhaseSpan span("bat.edges", accum(&BatBuildTimings::edges));
+        obs::PhaseSpan span("bat.edges", s_->accum(&BatBuildTimings::edges));
         bat.attr_ranges.resize(nattrs);
         bat.attr_edges.resize(nattrs);
         auto attr_scan = [&](std::size_t a) {
@@ -349,9 +694,11 @@ BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* po
             }
         }
     }
+    bat.particles = ParticleSet(particles.attr_names());
     if (n == 0) {
-        bat.particles = std::move(particles);
-        return bat;
+        s_->buckets.begin = {0};
+        s_->buckets.group_begin = {0};
+        return;
     }
 
     // ---- Morton encode ----------------------------------------------------
@@ -359,25 +706,26 @@ BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* po
     // take the bounds with the vectorized min/max scan, and batch-encode
     // whole plane spans (BMI2 pdep spread + AVX2 quantize where available).
     constexpr std::size_t kGrain = std::size_t{1} << 14;
-    std::vector<float> xs(n);
-    std::vector<float> ys(n);
-    std::vector<float> zs(n);
     std::vector<std::uint64_t> codes(n);
     {
-        obs::PhaseSpan span("bat.encode", accum(&BatBuildTimings::encode));
+        obs::PhaseSpan span("bat.encode", s_->accum(&BatBuildTimings::encode));
+        std::vector<float> xs(n);
+        std::vector<float> ys(n);
+        std::vector<float> zs(n);
         particles.deplane_positions(xs.data(), ys.data(), zs.data(), pool);
         simd::minmax_f32(xs.data(), n, &bat.bounds.lower.x, &bat.bounds.upper.x);
         simd::minmax_f32(ys.data(), n, &bat.bounds.lower.y, &bat.bounds.upper.y);
         simd::minmax_f32(zs.data(), n, &bat.bounds.lower.z, &bat.bounds.upper.z);
         parallel_ranges(pool, n, kGrain, [&](std::size_t lo, std::size_t hi) {
-            morton_encode_positions(xs.data() + lo, ys.data() + lo, zs.data() + lo,
-                                    hi - lo, bat.bounds, codes.data() + lo);
+            morton_encode_positions(xs.data() + lo, ys.data() + lo, zs.data() + lo, hi - lo,
+                                    bat.bounds, codes.data() + lo);
         });
     }
 
-    // ---- Morton sort, grouped by subprefix (§III-C1) ----------------------
-    // The sort's counting pass buckets by the subprefix itself, so its
-    // groups are the treelets' particle ranges and the shallow tree's keys.
+    // ---- Subprefix buckets (§III-C1) --------------------------------------
+    // The stable counting pass groups the particles by subprefix: each
+    // bucket's records are contiguous and its subprefixes are known, so the
+    // treelets and the shallow tree's keys are fixed before any job runs.
     int subprefix_bits = config.subprefix_bits;
     if (config.auto_subprefix) {
         const double want_treelets = std::max(
@@ -387,167 +735,127 @@ BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* po
         subprefix_bits = std::clamp(bits, 1, config.subprefix_bits);
     }
     bat.config.subprefix_bits = subprefix_bits;
-    PrefixGroups sorted;
     {
-        obs::PhaseSpan span("bat.sort", accum(&BatBuildTimings::sort));
-        sorted = prefix_sort_order(codes, kMortonBits, subprefix_bits, pool);
+        obs::PhaseSpan span("bat.sort", s_->accum(&BatBuildTimings::sort));
+        s_->buckets = prefix_buckets(codes, kMortonBits, subprefix_bits, pool);
     }
-    const std::vector<std::uint32_t>& order = sorted.order;
-    const std::vector<std::uint32_t>& range_begin = sorted.begin;
+    bat.treelets.resize(s_->buckets.prefixes.size());
+    bat.particles.resize(n);
+}
 
-    obs::PhaseSpan treelet_span("bat.treelets", accum(&BatBuildTimings::treelets));
+BatBuild::~BatBuild() = default;
 
-    // Gather positions into Morton order as 16-byte {x, y, z, rank}
-    // records: every later access (treelet bounds, k-d medians, LOD swaps)
-    // then runs over contiguous memory — this is the only pass that
-    // gathers through the sort permutation.
-    std::vector<PosRecord> recs(n);
-    parallel_ranges(pool, n, kGrain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const std::uint32_t src = order[i];
-            recs[i] = PosRecord{{xs[src], ys[src], zs[src]}, static_cast<std::uint32_t>(i)};
-        }
-    });
-    std::vector<float>().swap(xs);
-    std::vector<float>().swap(ys);
-    std::vector<float>().swap(zs);
-    std::vector<std::uint64_t>().swap(codes);
+std::size_t BatBuild::num_buckets() const { return s_->buckets.begin.size() - 1; }
 
-    // ---- Shallow tree over merged subprefixes (§III-C1) -------------------
-    const RadixTree radix = build_radix_tree(sorted.prefixes, subprefix_bits, pool);
+std::size_t BatBuild::bucket_begin(std::size_t b) const { return s_->buckets.begin[b]; }
 
-    // ---- Treelet builds (§III-C2) -----------------------------------------
-    // The builds permute the Morton-ordered records in place; afterwards the
-    // record sequence is the final layout and recs[i].rank composes with the
-    // sort to give the original index. The record values are exactly the
-    // value sequences the original index-gathering build saw, so the k-d
-    // recursion (nth_element, LOD swaps) produces a byte-identical tree.
-    const std::size_t num_treelets = sorted.prefixes.size();
-    bat.treelets.resize(num_treelets);
-    BuildContext ctx{config, recs, bat.bounds};
-    auto build_treelet = [&](std::size_t t) {
-        Treelet& treelet = bat.treelets[t];
-        treelet.first_particle = range_begin[t];
-        treelet.num_particles = range_begin[t + 1] - range_begin[t];
-        treelet.bounds = range_bounds(ctx, range_begin[t], range_begin[t + 1]);
-        TreeletBuilder builder{ctx, treelet, Pcg32(mix_seed(config.seed, t))};
-        builder.build(range_begin[t], range_begin[t + 1], 0);
-    };
-    // One task per treelet (grain 1) drowns tiny-treelet workloads in
-    // per-task overhead; ~4 chunks per participant amortizes it while still
-    // load-balancing the skewed treelet sizes.
-    const std::size_t treelet_grain =
-        pool != nullptr && pool->num_threads() > 0
-            ? std::max<std::size_t>(1, num_treelets / (4 * (pool->num_threads() + 1)))
-            : 1;
-    if (pool != nullptr && pool->num_threads() > 0) {
-        pool->parallel_for(0, num_treelets, build_treelet, treelet_grain);
-    } else {
-        for (std::size_t t = 0; t < num_treelets; ++t) {
-            build_treelet(t);
-        }
+std::vector<std::byte> BatBuild::pack_job(std::size_t b0, std::size_t b1) const {
+    BAT_CHECK(b0 <= b1 && b1 <= num_buckets());
+    obs::PhaseSpan span("bat.reorder", s_->accum(&BatBuildTimings::reorder));
+    const BatConfig& config = s_->bat.config;
+    const ParticleSet& src = s_->src;
+    const std::vector<std::uint32_t>& begin = s_->buckets.begin;
+    const std::size_t m = begin[b1] - begin[b0];
+    const std::size_t nattrs = src.num_attrs();
+
+    BufferWriter w;
+    w.write(config.seed);
+    w.write(std::int32_t{config.lod_per_inner});
+    w.write(std::int32_t{config.max_leaf_size});
+    w.write(std::int32_t{config.subprefix_bits});
+    w.write(static_cast<std::uint8_t>(config.hash_treelets ? 1 : 0));
+    w.write(static_cast<std::uint32_t>(b1 - b0));
+    for (std::size_t b = b0; b <= b1; ++b) {
+        w.write(begin[b] - begin[b0]);
     }
-    treelet_span.close();
-
-    // ---- Final particle order ---------------------------------------------
-    {
-        obs::PhaseSpan span("bat.reorder", accum(&BatBuildTimings::reorder));
-        // Attributes gather through the composed permutation
-        // final[i] = original[order[recs[i].rank]]; positions come straight
-        // out of the already-permuted records (a sequential copy).
-        std::vector<std::uint32_t> final_order(n);
-        parallel_ranges(pool, n, kGrain, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                final_order[i] = order[recs[i].rank];
-            }
-        });
-        particles.reorder_attrs(final_order, pool);
-        float* pos = particles.positions_mut().data();
-        parallel_ranges(pool, n, kGrain, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                pos[3 * i] = recs[i].p[0];
-                pos[3 * i + 1] = recs[i].p[1];
-                pos[3 * i + 2] = recs[i].p[2];
-            }
-        });
-        bat.particles = std::move(particles);
+    for (std::size_t b = b0; b <= b1; ++b) {
+        w.write(s_->buckets.group_begin[b]);
     }
-
-    // ---- Bitmaps ------------------------------------------------------------
-    obs::PhaseSpan bitmap_span("bat.bitmaps", accum(&BatBuildTimings::bitmaps));
-    auto bitmap_pass = [&](std::size_t t) {
-        compute_treelet_bitmaps(bat.particles, bat.treelets[t], bat.attr_edges);
-    };
-    if (pool != nullptr && pool->num_threads() > 0) {
-        pool->parallel_for(0, num_treelets, bitmap_pass, treelet_grain);
-    } else {
-        for (std::size_t t = 0; t < num_treelets; ++t) {
-            bitmap_pass(t);
+    w.write(static_cast<std::uint32_t>(nattrs));
+    for (const BinEdges& edges : s_->bat.attr_edges) {
+        w.write_span(std::span<const double>(edges));
+    }
+    // The bulk columns are gathered straight into the message: codes, then
+    // the particles in stable bucket order (the ParticleSet wire layout).
+    BufferWriter set_header;
+    set_header.write(static_cast<std::uint64_t>(m));
+    set_header.write(static_cast<std::uint32_t>(nattrs));
+    for (const std::string& name : src.attr_names()) {
+        set_header.write_string(name);
+    }
+    std::vector<std::byte> bytes = w.take();
+    const std::size_t header = bytes.size();
+    bytes.resize(header + m * sizeof(std::uint64_t) + set_header.size() +
+                 m * src.bytes_per_particle());
+    std::byte* out = bytes.data() + header;
+    const KeyIndex* pairs = s_->buckets.pairs.data() + begin[b0];
+    std::vector<std::uint32_t> rows(m);
+    for (std::size_t i = 0; i < m; ++i, out += sizeof(std::uint64_t)) {
+        std::memcpy(out, &pairs[i].key, sizeof(std::uint64_t));
+        rows[i] = pairs[i].index;
+    }
+    std::memcpy(out, set_header.bytes().data(), set_header.size());
+    out += set_header.size();
+    const float* pos = src.positions().data();
+    for (std::size_t i = 0; i < m; ++i, out += 3 * sizeof(float)) {
+        std::memcpy(out, pos + 3 * std::size_t{rows[i]}, 3 * sizeof(float));
+    }
+    for (std::size_t a = 0; a < nattrs; ++a) {
+        const double* vals = src.attr(a).data();
+        for (std::size_t i = 0; i < m; ++i, out += sizeof(double)) {
+            std::memcpy(out, vals + rows[i], sizeof(double));
         }
     }
-    if (config.hash_treelets) {
-        // Content hashes for delta detection: cover exactly the per-treelet
-        // payload serialize_bat writes (counts, depth, bounds, nodes,
-        // bitmaps, positions, attribute values) so hash equality implies
-        // byte-identical treelet blocks on disk.
-        auto hash_pass = [&](std::size_t t) {
-            Treelet& treelet = bat.treelets[t];
-            std::uint64_t h = 0xcbf29ce484222325ull;
-            // Word-wise multiply-xorshift mix: the hash only ever meets
-            // hashes computed by this same code on the previous step (it is
-            // never persisted), and byte-at-a-time FNV would make the hash
-            // pass cost as much as the delta path saves on file writes.
-            auto mix = [&h](const void* data, std::size_t bytes) {
-                const auto* p = static_cast<const unsigned char*>(data);
-                std::size_t i = 0;
-                for (; i + 8 <= bytes; i += 8) {
-                    std::uint64_t w;
-                    std::memcpy(&w, p + i, 8);
-                    h = (h ^ w) * 0x9e3779b97f4a7c15ull;
-                    h ^= h >> 29;
-                }
-                if (i < bytes) {
-                    std::uint64_t tail = 0;
-                    std::memcpy(&tail, p + i, bytes - i);
-                    h = (h ^ (tail + bytes)) * 0x9e3779b97f4a7c15ull;
-                    h ^= h >> 29;
-                }
-            };
-            mix(&treelet.num_particles, sizeof(treelet.num_particles));
-            mix(&treelet.max_depth, sizeof(treelet.max_depth));
-            mix(&treelet.bounds, sizeof(treelet.bounds));
-            mix(treelet.nodes.data(), treelet.nodes.size() * sizeof(TreeletNode));
-            mix(treelet.bitmaps.data(),
-                treelet.bitmaps.size() * sizeof(std::uint32_t));
-            const auto pos = bat.particles.positions().subspan(
-                3 * treelet.first_particle, 3 * treelet.num_particles);
-            mix(pos.data(), pos.size_bytes());
-            for (std::size_t a = 0; a < nattrs; ++a) {
-                const auto vals = bat.particles.attr(a).subspan(
-                    treelet.first_particle, treelet.num_particles);
-                mix(vals.data(), vals.size_bytes());
-            }
-            treelet.hash = h;
-        };
-        if (pool != nullptr && pool->num_threads() > 0) {
-            pool->parallel_for(0, num_treelets, hash_pass, treelet_grain);
-        } else {
-            for (std::size_t t = 0; t < num_treelets; ++t) {
-                hash_pass(t);
-            }
-        }
+    return bytes;
+}
+
+void BatBuild::run_local(std::size_t b0, std::size_t b1) {
+    BAT_CHECK(b0 <= b1 && b1 <= num_buckets());
+    if (b0 == b1) {
+        return;
     }
-    bitmap_span.close();
+    run_job(s_->job(b0, b1), s_->bat.config, s_->bat.attr_edges, s_->pool, s_->timings);
+}
+
+void BatBuild::place_result(std::size_t b0, std::size_t b1, const TreeletJobResult& result) {
+    BAT_CHECK(b0 <= b1 && b1 <= num_buckets());
+    obs::PhaseSpan span("bat.reorder", s_->accum(&BatBuildTimings::reorder));
+    const RangeJob job = s_->job(b0, b1);
+    BufferReader r(result.treelets);
+    const auto count = r.read<std::uint32_t>();
+    BAT_CHECK_MSG(count == job.treelets.size(),
+                  "job result holds " << count << " treelets, " << job.treelets.size()
+                                      << " expected");
+    for (Treelet& treelet : job.treelets) {
+        treelet = read_treelet(r);
+        BAT_CHECK_MSG(std::size_t{treelet.first_particle} + treelet.num_particles <=
+                          job.pairs.size(),
+                      "job result treelet outside its range");
+        treelet.first_particle += static_cast<std::uint32_t>(job.first_row);
+    }
+    const std::size_t placed =
+        s_->bat.particles.deserialize_into(result.particles, job.first_row);
+    BAT_CHECK_MSG(placed == job.pairs.size(), "job result holds " << placed << " particles, "
+                                                                  << job.pairs.size()
+                                                                  << " expected");
+}
+
+BatData BatBuild::finish() {
+    BatData& bat = s_->bat;
+    const std::size_t nattrs = bat.attr_edges.size();
+    const std::size_t num_treelets = bat.treelets.size();
+    if (num_treelets == 0) {
+        return std::move(bat);
+    }
+    obs::PhaseSpan span("bat.treelets", s_->accum(&BatBuildTimings::treelets));
+    const RadixTree radix =
+        build_radix_tree(s_->buckets.prefixes, bat.config.subprefix_bits, s_->pool);
+    std::vector<KeyIndex>().swap(s_->buckets.pairs);
 
     // ---- Flatten the shallow tree to preorder -----------------------------
     // The radix tree uses split indices; we convert to a preorder node array
     // with regions decoded from the Morton prefixes.
     bat.shallow_nodes.clear();
-    struct Frame {
-        std::int32_t radix_index;
-        bool is_leaf;
-    };
-    // Recursive flatten via explicit lambda recursion.
     auto flatten = [&](auto&& self, std::int32_t radix_index, bool is_leaf) -> std::int32_t {
         const auto index = static_cast<std::int32_t>(bat.shallow_nodes.size());
         bat.shallow_nodes.push_back(ShallowNode{});
@@ -600,7 +908,83 @@ BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* po
             }
         }
     }
-    return bat;
+    return std::move(bat);
+}
+
+TreeletJobResult run_treelet_job(std::vector<std::byte> job, ThreadPool* pool,
+                                 BatBuildTimings* timings) {
+    BatConfig config;
+    std::vector<std::uint32_t> begin;
+    std::vector<std::uint32_t> group_begin;
+    std::vector<BinEdges> edges;
+    std::vector<KeyIndex> pairs;
+    BufferReader r(job);
+    config.seed = r.read<std::uint64_t>();
+    config.lod_per_inner = r.read<std::int32_t>();
+    config.max_leaf_size = r.read<std::int32_t>();
+    config.subprefix_bits = r.read<std::int32_t>();
+    config.hash_treelets = r.read<std::uint8_t>() != 0;
+    BAT_CHECK_MSG(config.subprefix_bits >= 1 && config.subprefix_bits <= 30 &&
+                      config.lod_per_inner >= 1 && config.max_leaf_size >= 1,
+                  "treelet job with invalid build parameters");
+    const auto nb = r.read<std::uint32_t>();
+    BAT_CHECK_MSG(nb <= r.remaining() / (2 * sizeof(std::uint32_t)),
+                  "treelet job bucket count overruns");
+    begin.resize(nb + 1);
+    r.read_into(std::span<std::uint32_t>(begin));
+    group_begin.resize(nb + 1);
+    r.read_into(std::span<std::uint32_t>(group_begin));
+    BAT_CHECK_MSG(begin.front() == 0 && std::is_sorted(begin.begin(), begin.end()) &&
+                      std::is_sorted(group_begin.begin(), group_begin.end()),
+                  "treelet job offsets are not ascending");
+    edges.resize(r.read<std::uint32_t>());
+    BAT_CHECK_MSG(edges.size() <= r.remaining() / ((kBitmapBins + 1) * sizeof(double)),
+                  "treelet job attribute count overruns");
+    for (BinEdges& e : edges) {
+        e.resize(kBitmapBins + 1);
+        r.read_into(std::span<double>(e));
+    }
+    const std::uint32_t m = begin.back();
+    BAT_CHECK_MSG(m <= r.remaining() / sizeof(std::uint64_t),
+                  "treelet job particle count overruns");
+    pairs.resize(m);
+    for (std::uint32_t i = 0; i < m; ++i) {
+        pairs[i] = KeyIndex{r.read<std::uint64_t>(), i};
+    }
+    // The job's particles are read in place from the message, and the
+    // result's are written in place into the reply, whose payload starts
+    // with the same ParticleSet header.
+    const std::size_t set_at = r.pos();
+    const SrcColumns src = wire_columns(std::span<const std::byte>(job), r, m, edges.size());
+    const auto header_bytes = static_cast<std::size_t>(src.pos - (job.data() + set_at));
+    TreeletJobResult result;
+    result.particles.resize(header_bytes + (12 + 8 * edges.size()) * std::size_t{m});
+    std::memcpy(result.particles.data(), job.data() + set_at, header_bytes);
+    BufferReader out_reader(result.particles);
+    std::vector<Treelet> treelets(group_begin.back() - group_begin.front());
+    RangeJob range;
+    range.pairs = pairs;
+    range.begin = begin;
+    range.group_begin = group_begin;
+    range.src = src;
+    range.dst = wire_columns(std::span<std::byte>(result.particles), out_reader, m, edges.size());
+    range.treelets = treelets;
+    run_job(range, config, edges, pool, timings);
+
+    BufferWriter w;
+    w.write(static_cast<std::uint32_t>(treelets.size()));
+    for (const Treelet& treelet : treelets) {
+        write_treelet(w, treelet);
+    }
+    result.treelets = w.take();
+    return result;
+}
+
+BatData build_bat(const ParticleSet& particles, const BatConfig& config, ThreadPool* pool,
+                  BatBuildTimings* timings) {
+    BatBuild build(particles, config, pool, timings);
+    build.run_local(0, build.num_buckets());
+    return build.finish();
 }
 
 }  // namespace bat

@@ -2,8 +2,9 @@
 // Construction of the Binned Attribute Tree (BAT), the paper's
 // multiresolution particle data layout (§III-C, Fig 2).
 //
-// The build runs on each aggregator after it has received its leaf's
-// particles, in two parallel steps:
+// The build runs for each aggregator after it has received its leaf's
+// particles (its treelets possibly on other ranks, see BatBuild), in two
+// parallel steps:
 //   1. a data-parallel bottom-up build of a *shallow* k-d tree: particles
 //      are Morton-sorted, their 12-bit code subprefixes merged, and a
 //      Karras radix tree built over the merged subprefixes (§III-C1);
@@ -15,7 +16,9 @@
 // attribute-filtered queries; bitmaps are deduplicated through a shared
 // dictionary at compaction time (§III-C3, bat_file.hpp).
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -174,20 +177,82 @@ struct BatData {
 struct BatBuildTimings {
     double edges = 0;     // attribute range + bin-edge scans
     double encode = 0;    // position deplane + batched Morton encode
-    double sort = 0;      // radix sort of the Morton codes
-    double treelets = 0;  // shallow tree + per-treelet k-d builds
-    double reorder = 0;   // final gather into layout order
-    double bitmaps = 0;   // per-node attribute bitmaps
+    double sort = 0;      // subprefix bucket pass + in-bucket Morton sorts
+    double treelets = 0;  // per-treelet k-d builds + shallow tree
+    double reorder = 0;   // gather into layout order (+ job pack/place)
+    double bitmaps = 0;   // per-node attribute bitmaps (and treelet hashes)
+    double wait = 0;      // aggregator blocked on helper ranks' job results
 
     BatBuildTimings& operator+=(const BatBuildTimings& o);
     /// Component-wise max (for "slowest rank" reductions).
     static BatBuildTimings max(const BatBuildTimings& a, const BatBuildTimings& b);
 };
 
-/// Build the BAT over `particles` (consumed and reordered into the layout
-/// order). `pool` parallelizes the shallow-tree and treelet builds. When
-/// `timings` is given, per-sub-phase seconds are accumulated into it.
-BatData build_bat(ParticleSet particles, const BatConfig& config, ThreadPool* pool = nullptr,
-                  BatBuildTimings* timings = nullptr);
+/// Build the BAT over `particles` (left untouched; the BAT holds a copy in
+/// layout order). `pool` parallelizes the global steps and runs the
+/// treelet-range jobs over bucket groups. When `timings` is given,
+/// per-sub-phase seconds are accumulated into it. Equivalent to a BatBuild
+/// whose buckets all run locally.
+BatData build_bat(const ParticleSet& particles, const BatConfig& config,
+                  ThreadPool* pool = nullptr, BatBuildTimings* timings = nullptr);
+
+/// What a treelet-range job sends back, as two messages: its treelets, and
+/// its particles in layout order (ParticleSet wire format).
+struct TreeletJobResult {
+    std::vector<std::byte> treelets;
+    std::vector<std::byte> particles;
+};
+
+/// A BAT build split at the subprefix bucket pass, so that its treelets can
+/// be built on other ranks (§III-C2: treelets are independent sub-builds).
+///
+/// The constructor runs the global steps: attribute ranges and bin edges,
+/// Morton encode, and the stable counting pass that groups particles into
+/// subprefix buckets. Everything after it is a *treelet-range job* over a
+/// contiguous run of buckets: the in-bucket MSD sort, the k-d/LOD treelet
+/// builds (each seeded by its global treelet index), the reorder into
+/// layout order, and the per-treelet bitmaps and hashes. A job runs here
+/// (run_local) or on another rank: pack_job writes its input, and
+/// run_treelet_job there returns the bytes place_result takes back. Every
+/// bucket must be covered exactly once before finish(), which builds the
+/// shallow tree and its bitmaps. Any cut of the buckets gives the bytes of
+/// build_bat.
+class BatBuild {
+public:
+    /// `particles` must outlive the build.
+    BatBuild(const ParticleSet& particles, const BatConfig& config, ThreadPool* pool = nullptr,
+             BatBuildTimings* timings = nullptr);
+    ~BatBuild();
+    BatBuild(const BatBuild&) = delete;
+    BatBuild& operator=(const BatBuild&) = delete;
+
+    /// Number of non-empty subprefix buckets (jobs cut between them).
+    std::size_t num_buckets() const;
+    /// Particles in buckets [0, b): bucket b spans [bucket_begin(b),
+    /// bucket_begin(b + 1)) of the layout order.
+    std::size_t bucket_begin(std::size_t b) const;
+
+    /// Job input for buckets [b0, b1): the particles in stable bucket order
+    /// with their Morton codes, bucket and treelet offsets, bin edges, the
+    /// build parameters and the first global treelet index.
+    std::vector<std::byte> pack_job(std::size_t b0, std::size_t b1) const;
+    /// Run the job over buckets [b0, b1) here, over bucket groups on the pool.
+    void run_local(std::size_t b0, std::size_t b1);
+    /// Take back the run_treelet_job result of the job over buckets [b0, b1).
+    void place_result(std::size_t b0, std::size_t b1, const TreeletJobResult& result);
+    /// Shallow tree and its bitmaps over the finished treelets.
+    BatData finish();
+
+private:
+    struct State;
+    std::unique_ptr<State> s_;
+};
+
+/// Run a packed treelet-range job (BatBuild::pack_job) and return its
+/// result. The job's particles are read in place from `job`. `pool` runs
+/// bucket groups; seconds accumulate into the sort/treelets/reorder/bitmaps
+/// rows of `timings`.
+TreeletJobResult run_treelet_job(std::vector<std::byte> job, ThreadPool* pool = nullptr,
+                                 BatBuildTimings* timings = nullptr);
 
 }  // namespace bat

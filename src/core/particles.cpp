@@ -108,12 +108,6 @@ void ParticleSet::reorder(std::span<const std::uint32_t> order, ThreadPool* pool
         }
     });
     positions_ = std::move(pos);
-    reorder_attrs(order, pool);
-}
-
-void ParticleSet::reorder_attrs(std::span<const std::uint32_t> order, ThreadPool* pool) {
-    BAT_CHECK(order.size() == count());
-    constexpr std::size_t kGrain = std::size_t{1} << 14;
     for (auto& attr : attrs_) {
         std::vector<double> tmp(attr.size());
         const double* src = attr.data();

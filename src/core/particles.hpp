@@ -83,11 +83,6 @@ public:
     /// The gather loops are chunked over `pool` when one is given.
     void reorder(std::span<const std::uint32_t> order, ThreadPool* pool = nullptr);
 
-    /// reorder() for the attribute arrays only; positions are untouched.
-    /// The BAT build rewrites positions from its own already-permuted
-    /// scratch, so gathering them here would be wasted work.
-    void reorder_attrs(std::span<const std::uint32_t> order, ThreadPool* pool = nullptr);
-
     /// (min, max) of attribute `a`; (0, 0) for an empty set.
     std::pair<double, double> attr_range(std::size_t a) const;
 

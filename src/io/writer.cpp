@@ -17,6 +17,9 @@ namespace bat {
 namespace {
 
 constexpr int kTagData = 1;
+/// Treelet-range jobs (aggregator -> helper) and their results (back).
+constexpr int kTagJob = 2;
+constexpr int kTagJobResult = 3;
 
 std::string leaf_file_name(const std::string& basename, int leaf_id) {
     return basename + "_" + std::to_string(leaf_id) + ".bat";
@@ -46,6 +49,9 @@ namespace io_detail {
 struct LeafDuty {
     int leaf_id = -1;
     std::vector<std::pair<int, std::uint64_t>> senders;  // (rank, particle count)
+    /// Help plan: (helper rank, fraction of the leaf's particles) per
+    /// helper, shipped as treelet-range jobs; the aggregator builds the rest.
+    std::vector<std::pair<int, double>> help;
 };
 
 /// Assignment message scattered from rank 0 to each rank.
@@ -54,12 +60,14 @@ struct Assignment {
     int my_aggregator = -1;    // destination rank for this rank's data
     int num_leaves = 0;
     std::vector<LeafDuty> duties;  // leaves this rank aggregates
+    int leaves_to_help = 0;        // heavier leaves this rank builds jobs of
 
     std::vector<std::byte> to_bytes() const {
         BufferWriter w;
         w.write(std::int32_t{my_leaf});
         w.write(std::int32_t{my_aggregator});
         w.write(std::int32_t{num_leaves});
+        w.write(std::int32_t{leaves_to_help});
         w.write(static_cast<std::uint32_t>(duties.size()));
         for (const LeafDuty& duty : duties) {
             w.write(std::int32_t{duty.leaf_id});
@@ -67,6 +75,11 @@ struct Assignment {
             for (const auto& [rank, count] : duty.senders) {
                 w.write(std::int32_t{rank});
                 w.write(count);
+            }
+            w.write(static_cast<std::uint32_t>(duty.help.size()));
+            for (const auto& [rank, fraction] : duty.help) {
+                w.write(std::int32_t{rank});
+                w.write(fraction);
             }
         }
         return w.take();
@@ -78,6 +91,7 @@ struct Assignment {
         a.my_leaf = r.read<std::int32_t>();
         a.my_aggregator = r.read<std::int32_t>();
         a.num_leaves = r.read<std::int32_t>();
+        a.leaves_to_help = r.read<std::int32_t>();
         a.duties.resize(r.read<std::uint32_t>());
         for (LeafDuty& duty : a.duties) {
             duty.leaf_id = r.read<std::int32_t>();
@@ -85,6 +99,11 @@ struct Assignment {
             for (auto& [rank, count] : duty.senders) {
                 rank = r.read<std::int32_t>();
                 count = r.read<std::uint64_t>();
+            }
+            duty.help.resize(r.read<std::uint32_t>());
+            for (auto& [rank, fraction] : duty.help) {
+                rank = r.read<std::int32_t>();
+                fraction = r.read<double>();
             }
         }
         return a;
@@ -195,6 +214,28 @@ namespace {
 /// fraction of its previous count forces a replan.
 constexpr double kMaxRankDrift = 0.3;
 
+/// Help plan cost model, in units of one aggregated particle's write cost
+/// (global build steps, treelet-range job, file write). A shipped particle
+/// costs its helper kJobCost (the job, its messages, and the wait for the
+/// next job) and its aggregator kShipCost (packing the job, placing the
+/// result, and the placing left after the last result), so the aggregator
+/// saves kJobCost - kShipCost. Tuned on the boiler-dump steps (3 ranks,
+/// one dominant) by sweeping both: of kJobCost 0.75-1.2 and kShipCost
+/// 0.2-0.5, (1.0, 0.4) gave the lowest write wall time.
+constexpr double kJobCost = 1.0;
+constexpr double kShipCost = 0.4;
+/// Smallest share of a leaf worth shipping to a helper, in particles.
+constexpr std::uint64_t kMinJobParticles = 16384;
+/// Largest treelet-range job message, in particles: a helper's share
+/// ships as several jobs, so the helper starts on the first while the next
+/// is packed, and each message (about 4 MiB at 14 attributes) stays on the
+/// heap instead of in fresh pages.
+constexpr std::size_t kJobParticles = 32768;
+/// Jobs a helper holds unanswered: one to build, the rest queued so it
+/// never idles while the aggregator is busy between refills. Bounds the
+/// job and result bytes in flight.
+constexpr std::size_t kJobsInFlight = 3;
+
 /// Build the aggregation over `infos` and assign its aggregators:
 /// file-per-process writes from the owning rank itself, the others spread
 /// aggregators over rank space.
@@ -211,6 +252,82 @@ Aggregation plan_aggregation(std::span<const RankInfo> infos, const WriterConfig
         agg.assign_aggregators(static_cast<int>(infos.size()));
     }
     return agg;
+}
+
+/// The help plan (§III-C2 treelets are independent sub-builds): balance the
+/// leaf particle counts over all ranks. A rank's load is the particle count
+/// of the leaves it aggregates. Under the kJobCost / kShipCost model, the
+/// level every rank can reach is found by bisection: ranks above it ship
+/// treelet-range jobs (at most their whole leaves) until they reach it,
+/// ranks below it take jobs until they reach it, lightest first. A heavy
+/// rank never helps, and a share below kMinJobParticles is not worth its
+/// messages. Shares are fractions of their leaf, so a reused plan absorbs
+/// count drift.
+void plan_help(const Aggregation& agg, std::vector<Assignment>& assignments) {
+    const std::size_t nranks = assignments.size();
+    std::vector<double> load(nranks, 0.0);
+    for (const AggLeaf& leaf : agg.leaves) {
+        load[static_cast<std::size_t>(leaf.aggregator)] +=
+            static_cast<double>(leaf.num_particles);
+    }
+    // Particles a rank at `l` ships, or takes, to reach `level`.
+    auto ships = [](double level, double l) {
+        return std::clamp((l - level) / (kJobCost - kShipCost), 0.0, l);
+    };
+    auto takes = [](double level, double l) { return std::max(0.0, (level - l) / kJobCost); };
+    double lo = *std::min_element(load.begin(), load.end());
+    double hi = *std::max_element(load.begin(), load.end());
+    for (int it = 0; it < 64; ++it) {
+        const double mid = 0.5 * (lo + hi);
+        double balance = 0.0;
+        for (const double l : load) {
+            balance += ships(mid, l) - takes(mid, l);
+        }
+        (balance > 0.0 ? lo : hi) = mid;
+    }
+    const double level = hi;  // every shipped particle has a taker
+    std::vector<int> heavy;
+    std::vector<int> light;
+    std::vector<double> room(nranks, 0.0);
+    for (std::size_t r = 0; r < nranks; ++r) {
+        if (load[r] > level) {
+            heavy.push_back(static_cast<int>(r));
+        } else if (load[r] < level) {
+            light.push_back(static_cast<int>(r));
+            room[r] = takes(level, load[r]);
+        }
+    }
+    // Heaviest first and lightest first; rank order breaks ties.
+    std::stable_sort(heavy.begin(), heavy.end(),
+                     [&](int a, int b) { return load[static_cast<std::size_t>(a)] >
+                                                load[static_cast<std::size_t>(b)]; });
+    std::stable_sort(light.begin(), light.end(),
+                     [&](int a, int b) { return load[static_cast<std::size_t>(a)] <
+                                                load[static_cast<std::size_t>(b)]; });
+    const auto min_job = static_cast<double>(kMinJobParticles);
+    std::size_t next = 0;  // current helper in `light`
+    for (const int r : heavy) {
+        const double rank_load = load[static_cast<std::size_t>(r)];
+        const double shipped = ships(level, rank_load);
+        for (LeafDuty& duty : assignments[static_cast<std::size_t>(r)].duties) {
+            const auto n = static_cast<double>(
+                agg.leaves[static_cast<std::size_t>(duty.leaf_id)].num_particles);
+            double left = shipped * n / rank_load;  // this leaf's share
+            while (left >= min_job && next < light.size()) {
+                const int helper = light[next];
+                double& free = room[static_cast<std::size_t>(helper)];
+                if (free < min_job) {
+                    ++next;
+                    continue;
+                }
+                const double take = std::min(left, free);
+                duty.help.emplace_back(helper, take / n);
+                assignments[static_cast<std::size_t>(helper)].leaves_to_help += 1;
+                free -= take;
+                left -= take;
+            }
+        }
+    }
 }
 
 std::vector<vmpi::Bytes> make_assignments(const Aggregation& agg,
@@ -238,6 +355,7 @@ std::vector<vmpi::Bytes> make_assignments(const Aggregation& agg,
         assignments[static_cast<std::size_t>(leaf.aggregator)].duties.push_back(
             std::move(duty));
     }
+    plan_help(agg, assignments);
     std::vector<vmpi::Bytes> blobs;
     blobs.reserve(assignments.size());
     for (const Assignment& a : assignments) {
@@ -247,8 +365,9 @@ std::vector<vmpi::Bytes> make_assignments(const Aggregation& agg,
 }
 
 // ---- pipeline stages ------------------------------------------------------
-// write_particles runs all four; write_particles_serial aggregates in one
-// process and shares write_leaf and publish_metadata. Each obs::PhaseSpan
+// write_particles runs them all; write_particles_serial aggregates in one
+// process and shares build_leaf (without help), write_leaf and
+// publish_metadata. Each obs::PhaseSpan
 // both emits a trace span (when BAT_TRACE is on) and accumulates wall
 // seconds into the matching WritePhaseTimings field — the only bookkeeping
 // path for Fig 6/10/12.
@@ -336,12 +455,23 @@ Assignment plan_write(vmpi::Comm& comm, const ParticleSet& local, const Box& loc
 /// then sizes each leaf from the payload headers and appends the senders in
 /// duty.senders order (the leaf's rank order) — arrival order never reaches
 /// the merged set (and thus the output bytes). Its own particles skip
-/// (de)serialization and are copied in. `counts_exact` is false for
-/// a reused plan, whose cached per-sender counts may have drifted; the
-/// sender sets stay exact (an empty/non-empty flip forces a replan).
-std::vector<std::pair<int, ParticleSet>> transfer(vmpi::Comm& comm, const ParticleSet& local,
-                                                  const Assignment& assignment,
-                                                  bool counts_exact, WriteResult& result) {
+/// (de)serialization and are copied in; a leaf whose only sender is this
+/// rank is not merged at all (the BAT build reads `local` itself).
+/// `counts_exact` is false for a reused plan, whose cached per-sender
+/// counts may have drifted; the sender sets stay exact (an empty/non-empty
+/// flip forces a replan).
+struct LeafInput {
+    ParticleSet merged;      // the leaf's particles, unless self_only
+    bool self_only = false;  // the leaf is exactly this rank's particles
+
+    const ParticleSet& particles(const ParticleSet& local) const {
+        return self_only ? local : merged;
+    }
+};
+
+std::vector<LeafInput> transfer(vmpi::Comm& comm, const ParticleSet& local,
+                                const Assignment& assignment, bool counts_exact,
+                                WriteResult& result) {
     obs::PhaseSpan span("write.transfer", &result.timings.transfer);
     auto& metrics = obs::MetricsRegistry::global();
     const int self = comm.rank();
@@ -380,9 +510,9 @@ std::vector<std::pair<int, ParticleSet>> transfer(vmpi::Comm& comm, const Partic
         payloads[f] = std::move(payload);
     }
 
-    std::vector<std::pair<int, ParticleSet>> leaves;  // (leaf_id, data)
-    leaves.reserve(assignment.duties.size());
-    for (const LeafDuty& duty : assignment.duties) {
+    std::vector<LeafInput> leaves(assignment.duties.size());
+    for (std::size_t d = 0; d < assignment.duties.size(); ++d) {
+        const LeafDuty& duty = assignment.duties[d];
         std::size_t total = 0;
         for (const auto& [sender, count] : duty.senders) {
             const std::size_t got =
@@ -393,9 +523,15 @@ std::vector<std::pair<int, ParticleSet>> transfer(vmpi::Comm& comm, const Partic
                                     << " expected");
             total += got;
         }
+        if (duty.senders.size() == 1 && duty.senders.front().first == self) {
+            leaves[d].self_only = true;
+            metrics.counter("write.transfer_bytes").add(local.payload_bytes());
+            continue;
+        }
         // Reserved once, then appended: no regrowth, and no zero-fill of
         // the aggregator's own particles before they are copied in.
-        ParticleSet merged(local.attr_names());
+        ParticleSet& merged = leaves[d].merged;
+        merged = ParticleSet(local.attr_names());
         merged.reserve(total);
         for (const auto& [sender, count] : duty.senders) {
             if (sender == self) {
@@ -407,28 +543,173 @@ std::vector<std::pair<int, ParticleSet>> transfer(vmpi::Comm& comm, const Partic
                 merged.append_from_bytes(payload);
             }
         }
-        leaves.emplace_back(duty.leaf_id, std::move(merged));
     }
     return leaves;
 }
 
-/// (c) Build one leaf's BAT, write its file and return its metadata report.
-/// With a plan (`state`), the builder hashes every treelet; treelets whose
+/// (c) Build one leaf's BAT. With a help plan (collective writes only),
+/// the aggregator cuts its subprefix buckets by the plan's fractions right
+/// after the bucket pass, ships the first ranges to their helpers as
+/// treelet-range jobs, builds the rest itself and then takes the helpers'
+/// results back. Any cut gives the bytes of a local build.
+BatData build_leaf(vmpi::Comm* comm, const ParticleSet& particles,
+                   std::span<const std::pair<int, double>> help, const WriterConfig& config,
+                   bool hash_treelets, WriteResult& result) {
+    BAT_CHECK(help.empty() || comm != nullptr);
+    obs::PhaseSpan span("write.bat_build", &result.timings.bat_build);
+    BatConfig bat_config = config.bat;
+    bat_config.hash_treelets = hash_treelets;
+    BatBuild build(particles, bat_config, config.pool, &result.timings.bat);
+    const std::size_t nb = build.num_buckets();
+    const std::size_t n = build.bucket_begin(nb);
+    // cut[j]..cut[j+1] is helper j's bucket range; the aggregator keeps the
+    // rest. Each cut is the bucket boundary nearest the cumulative fraction.
+    std::vector<std::size_t> cut{0};
+    double share = 0.0;
+    for (const auto& [helper, fraction] : help) {
+        share += fraction;
+        const auto want = static_cast<std::size_t>(std::llround(std::min(share, 1.0) *
+                                                                static_cast<double>(n)));
+        std::size_t b = cut.back();
+        while (b < nb && build.bucket_begin(b + 1) <= want) {
+            ++b;
+        }
+        if (b < nb && want > build.bucket_begin(b) &&
+            want - build.bucket_begin(b) > build.bucket_begin(b + 1) - want) {
+            ++b;  // the next boundary is nearer
+        }
+        cut.push_back(b);
+    }
+    // Bucket ranges of at most kJobParticles (a bigger bucket stands alone).
+    auto slices = [&](std::size_t b0, std::size_t b_end) {
+        std::vector<std::pair<std::size_t, std::size_t>> out;
+        while (b0 < b_end) {
+            std::size_t b1 = b0 + 1;
+            while (b1 < b_end &&
+                   build.bucket_begin(b1 + 1) - build.bucket_begin(b0) <= kJobParticles) {
+                ++b1;
+            }
+            out.emplace_back(b0, b1);
+            b0 = b1;
+        }
+        return out;
+    };
+    // Each helper's range ships as a stream of jobs with at most
+    // kJobsInFlight unanswered, refilled as results come back; an empty
+    // job ends the stream. The aggregator builds its own range in slices
+    // and places the results that arrived between them.
+    struct Stream {
+        int rank;
+        std::vector<std::pair<std::size_t, std::size_t>> jobs;
+        std::size_t sent = 0;
+        std::size_t placed = 0;
+        bool ended = false;  // the empty job went out
+    };
+    std::vector<Stream> streams;
+    for (std::size_t j = 0; j < help.size(); ++j) {
+        streams.push_back(Stream{help[j].first, slices(cut[j], cut[j + 1])});
+    }
+    auto& metrics = obs::MetricsRegistry::global();
+    auto send_next = [&](Stream& st) {
+        if (st.ended) {
+            return;
+        }
+        if (st.sent < st.jobs.size()) {
+            const auto [b0, b1] = st.jobs[st.sent++];
+            metrics.counter("write.help_jobs").add(1);
+            metrics.counter("write.help_particles")
+                .add(build.bucket_begin(b1) - build.bucket_begin(b0));
+            comm->isend(st.rank, kTagJob, build.pack_job(b0, b1));
+        }
+        if (st.sent == st.jobs.size()) {
+            comm->isend(st.rank, kTagJob, vmpi::Bytes{});
+            st.ended = true;
+        }
+    };
+    // A result is two messages from its helper: treelets, then particles.
+    auto place = [&](Stream& st, vmpi::Bytes treelets) {
+        TreeletJobResult job_result{std::move(treelets), {}};
+        {
+            obs::PhaseSpan wait("bat.wait", &result.timings.bat.wait);
+            job_result.particles = comm->recv(st.rank, kTagJobResult);
+        }
+        const auto [b0, b1] = st.jobs[st.placed++];
+        build.place_result(b0, b1, job_result);
+        send_next(st);
+    };
+    std::size_t outstanding = 0;
+    for (std::size_t k = 0; k < kJobsInFlight; ++k) {
+        for (Stream& st : streams) {
+            send_next(st);
+        }
+    }
+    for (const Stream& st : streams) {
+        outstanding += st.jobs.size();
+    }
+    // Without helpers the own range is one run (one pool parallel_for).
+    const auto own = streams.empty() ? std::vector<std::pair<std::size_t, std::size_t>>{{0, nb}}
+                                     : slices(cut.back(), nb);
+    for (const auto& [b0, b1] : own) {
+        build.run_local(b0, b1);
+        for (Stream& st : streams) {
+            while (st.placed < st.sent && comm->iprobe(st.rank, kTagJobResult)) {
+                place(st, comm->recv(st.rank, kTagJobResult));
+                --outstanding;
+            }
+        }
+    }
+    // Then the rest, in arrival order: a helper never waits on another.
+    for (; outstanding > 0; --outstanding) {
+        int from = -1;
+        vmpi::Bytes treelets;
+        {
+            obs::PhaseSpan wait("bat.wait", &result.timings.bat.wait);
+            treelets = comm->recv(vmpi::kAnySource, kTagJobResult, &from);
+        }
+        const auto st = std::find_if(streams.begin(), streams.end(),
+                                     [from](const Stream& x) { return x.rank == from; });
+        BAT_CHECK_MSG(st != streams.end() && st->placed < st->sent,
+                      "unexpected job result from rank " << from);
+        place(*st, std::move(treelets));
+    }
+    return build.finish();
+}
+
+/// (c') Serve the treelet-range jobs of heavier aggregators: after this
+/// rank's own leaves and before the metadata gather. A heavy rank never
+/// helps, so no aggregator waits on a rank that waits on it.
+void serve_jobs(vmpi::Comm& comm, const Assignment& assignment, const WriterConfig& config,
+                WriteResult& result) {
+    if (assignment.leaves_to_help == 0) {
+        return;
+    }
+    obs::PhaseSpan span("write.bat_build", &result.timings.bat_build);
+    for (int open = assignment.leaves_to_help; open > 0;) {
+        int from = -1;
+        vmpi::Bytes job;
+        {
+            obs::PhaseSpan wait("bat.wait", &result.timings.bat.wait);
+            job = comm.recv(vmpi::kAnySource, kTagJob, &from);
+        }
+        if (job.empty()) {
+            --open;  // that aggregator's share of this rank is done
+            continue;
+        }
+        TreeletJobResult built = run_treelet_job(std::move(job), config.pool, &result.timings.bat);
+        comm.isend(from, kTagJobResult, std::move(built.treelets));
+        comm.isend(from, kTagJobResult, std::move(built.particles));
+    }
+}
+
+/// (d) Write one leaf's BAT file and return its metadata report. With a
+/// plan (`state`), the BAT was built with treelet hashes; treelets whose
 /// hash, point count and physical location carry over from the previous
 /// step are written as references into the prior step's file. A leaf whose
 /// treelets are ALL clean (and whose attr table + shallow tree match) skips
 /// its file entirely — the metadata points at the prior file.
-LeafReport write_leaf(int leaf_id, ParticleSet particles, const WriterConfig& config,
+LeafReport write_leaf(int leaf_id, const BatData& bat, const WriterConfig& config,
                       io_detail::WritePlanState* state, WriteResult& result) {
-    const std::size_t nattrs = particles.num_attrs();
-    BatConfig bat_config = config.bat;
-    bat_config.hash_treelets = state != nullptr;
-    BatData bat;
-    {
-        obs::PhaseSpan span("write.bat_build", &result.timings.bat_build);
-        bat = build_bat(std::move(particles), bat_config, config.pool, &result.timings.bat);
-    }
-
+    const std::size_t nattrs = bat.num_attrs();
     LeafReport report;
     report.leaf_id = leaf_id;
     report.num_particles = bat.particles.count();
@@ -531,7 +812,7 @@ LeafReport write_leaf(int leaf_id, ParticleSet particles, const WriterConfig& co
     return report;
 }
 
-/// (d) Build the top-level metadata from every leaf's report and save it
+/// (e) Build the top-level metadata from every leaf's report and save it
 /// to result.metadata_path. The metadata file is part of the written
 /// volume; leaving it out inflates effective-bandwidth numbers (Fig 5).
 void publish_metadata(const Aggregation& agg, const std::vector<std::string>& attr_names,
@@ -571,14 +852,18 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
     // Rank 0's aggregation lives in the plan when one is carried.
     const Aggregation& agg = state != nullptr ? state->agg : fresh_agg;
 
-    std::vector<std::pair<int, ParticleSet>> leaves =
-        transfer(comm, local, assignment, !result.reused_plan, result);
+    std::vector<LeafInput> leaves = transfer(comm, local, assignment, !result.reused_plan, result);
 
     std::vector<LeafReport> my_reports;
     std::filesystem::create_directories(config.directory);
-    for (auto& [leaf_id, particles] : leaves) {
-        my_reports.push_back(write_leaf(leaf_id, std::move(particles), config, state, result));
+    for (std::size_t d = 0; d < leaves.size(); ++d) {
+        const LeafDuty& duty = assignment.duties[d];
+        const BatData bat = build_leaf(&comm, leaves[d].particles(local), duty.help, config,
+                                       state != nullptr, result);
+        leaves[d] = LeafInput{};  // the merged copy is no longer needed
+        my_reports.push_back(write_leaf(duty.leaf_id, bat, config, state, result));
     }
+    serve_jobs(comm, assignment, config, result);
 
     // Reports travel to rank 0, which publishes the metadata.
     obs::PhaseSpan metadata_span("write.metadata", &result.timings.metadata);
@@ -657,7 +942,8 @@ WriteResult write_particles_serial(std::span<const ParticleSet> per_rank,
     result.num_leaves = static_cast<int>(agg.leaves.size());
 
     // Each leaf concatenates its ranks in leaf.ranks order, the order the
-    // collective transfer places its senders in.
+    // collective transfer places its senders in. The serial writer never
+    // plans help: every leaf builds locally.
     std::filesystem::create_directories(config.directory);
     std::vector<LeafReport> reports;
     for (std::size_t leaf_id = 0; leaf_id < agg.leaves.size(); ++leaf_id) {
@@ -667,8 +953,8 @@ WriteResult write_particles_serial(std::span<const ParticleSet> per_rank,
         for (int r : leaf.ranks) {
             merged.append(per_rank[static_cast<std::size_t>(r)]);
         }
-        reports.push_back(
-            write_leaf(static_cast<int>(leaf_id), std::move(merged), config, nullptr, result));
+        const BatData bat = build_leaf(nullptr, merged, {}, config, false, result);
+        reports.push_back(write_leaf(static_cast<int>(leaf_id), bat, config, nullptr, result));
     }
     result.metadata_path = metadata_path(config);
     publish_metadata(agg, per_rank[0].attr_names(), std::move(reports), config, result);

@@ -9,7 +9,9 @@
 //   (b) scatters assignments; every rank sends its particles to its leaf's
 //       aggregator with nonblocking sends;
 //   (c) each aggregator builds the BAT over its leaf's particles and writes
-//       it to an independent file;
+//       it to an independent file; a heavy aggregator ships treelet-range
+//       jobs of its build to lighter ranks (rank 0's help plan), which
+//       build them after their own leaves;
 //   (d) aggregators report per-attribute local ranges and root bitmaps to
 //       rank 0, which populates and writes the top-level metadata file.
 

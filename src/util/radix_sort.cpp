@@ -165,49 +165,49 @@ std::vector<std::uint32_t> bucket_pass(std::size_t n, const RecAt& rec, int shif
     return starts;
 }
 
-/// Indices of the non-empty buckets.
-std::vector<std::uint32_t> nonempty_buckets(const std::vector<std::uint32_t>& starts) {
-    std::vector<std::uint32_t> ids;
+/// Offsets of the non-empty buckets of a bucket_pass (plus the end).
+std::vector<std::uint32_t> nonempty_begin(const std::vector<std::uint32_t>& starts) {
+    std::vector<std::uint32_t> begin;
     for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
         if (starts[b + 1] > starts[b]) {
-            ids.push_back(static_cast<std::uint32_t>(b));
+            begin.push_back(starts[b]);
         }
     }
-    return ids;
+    begin.push_back(starts.back());
+    return begin;
 }
 
-/// Finish every non-empty bucket with msd_sort, then call done(k, lo, hi)
-/// for the k-th non-empty bucket [lo, hi) in the same task, while its
-/// records are still in cache. Pooled, the buckets are cut into chunks of
-/// about equal record counts; the sorted bytes do not depend on the cut.
+/// Finish every bucket [begin[k], begin[k+1]) with msd_sort, then call
+/// done(k, lo, hi) in the same task, while its records are still in cache.
+/// Pooled, the buckets are cut into chunks of about equal record counts;
+/// the sorted bytes do not depend on the cut.
 template <typename Done>
-void sort_buckets(KeyIndex* pairs, const std::vector<std::uint32_t>& starts,
-                  const std::vector<std::uint32_t>& ids, ThreadPool* pool, const Done& done) {
+void sort_buckets(KeyIndex* pairs, const std::vector<std::uint32_t>& begin, ThreadPool* pool,
+                  const Done& done) {
+    const std::size_t nb = begin.size() - 1;
     auto run = [&](std::size_t k_lo, std::size_t k_hi) {
         std::size_t widest = 0;
         for (std::size_t k = k_lo; k < k_hi; ++k) {
-            widest = std::max<std::size_t>(widest, starts[ids[k] + 1] - starts[ids[k]]);
+            widest = std::max<std::size_t>(widest, begin[k + 1] - begin[k]);
         }
         std::vector<KeyIndex> tmp(widest > kInsertionCutoff ? widest : 0);
         for (std::size_t k = k_lo; k < k_hi; ++k) {
-            const std::uint32_t lo = starts[ids[k]];
-            const std::uint32_t hi = starts[ids[k] + 1];
-            msd_sort(pairs + lo, tmp.data(), hi - lo);
-            done(k, lo, hi);
+            msd_sort(pairs + begin[k], tmp.data(), begin[k + 1] - begin[k]);
+            done(k, begin[k], begin[k + 1]);
         }
     };
-    const std::size_t n = starts.back();
+    const std::size_t n = begin.back();
     if (!parallel(pool, n)) {
-        run(0, ids.size());
+        run(0, nb);
         return;
     }
     const std::size_t nchunks = 4 * (pool->num_threads() + 1);
     auto first = [&](std::size_t c) {  // first bucket starting at or after c's share
         const std::size_t at = c * n / nchunks;
         return static_cast<std::size_t>(
-            std::partition_point(ids.begin(), ids.end(),
-                                 [&](std::uint32_t b) { return starts[b] < at; }) -
-            ids.begin());
+            std::partition_point(begin.begin(), begin.end() - 1,
+                                 [&](std::uint32_t b) { return b < at; }) -
+            begin.begin());
     };
     pool->parallel_for(0, nchunks, [&](std::size_t c) { run(first(c), first(c + 1)); }, 1);
 }
@@ -227,7 +227,7 @@ void radix_sort_pairs(std::span<KeyIndex> pairs, ThreadPool* pool) {
     const std::vector<KeyIndex> in(pairs.begin(), pairs.end());
     const auto starts = bucket_pass(
         n, [&](std::size_t i) { return in[i]; }, key_bits - bits, bits, pairs.data(), pool);
-    sort_buckets(pairs.data(), starts, nonempty_buckets(starts), pool,
+    sort_buckets(pairs.data(), nonempty_begin(starts), pool,
                  [](std::size_t, std::uint32_t, std::uint32_t) {});
 }
 
@@ -240,55 +240,90 @@ std::vector<std::uint32_t> radix_sort_order(std::span<const std::uint64_t> keys,
     return prefix_sort_order(keys, key_bits, std::min(key_bits, kMaxBucketBits), pool).order;
 }
 
-PrefixGroups prefix_sort_order(std::span<const std::uint64_t> keys, int key_bits,
-                               int prefix_bits, ThreadPool* pool) {
+PrefixBuckets prefix_buckets(std::span<const std::uint64_t> keys, int key_bits,
+                             int prefix_bits, ThreadPool* pool) {
     const std::size_t n = keys.size();
     BAT_CHECK_MSG(n <= static_cast<std::size_t>(UINT32_MAX),
-                  "prefix_sort_order indexes with 32 bits");
+                  "prefix_buckets indexes with 32 bits");
     BAT_CHECK(key_bits >= 1 && key_bits <= 64);
     BAT_CHECK(prefix_bits >= 1 && prefix_bits <= key_bits);
     const int bits = std::min(prefix_bits, kMaxBucketBits);
     const int shift = key_bits - bits;
-    const int group_shift = key_bits - prefix_bits;
 
-    PrefixGroups groups;
-    groups.order.resize(n);
-    std::vector<KeyIndex> pairs(n);
-    const auto starts = bucket_pass(
+    PrefixBuckets out;
+    out.pairs.resize(n);
+    out.begin = nonempty_begin(bucket_pass(
         n, [&](std::size_t i) { return KeyIndex{keys[i], static_cast<std::uint32_t>(i)}; },
-        shift, bits, pairs.data(), pool);
-    const std::vector<std::uint32_t> ids = nonempty_buckets(starts);
-    // Prefixes longer than the bucket field split a sorted bucket further;
-    // the split points are found in the bucket's own task.
-    std::vector<std::vector<std::uint32_t>> splits(prefix_bits > bits ? ids.size() : 0);
-    sort_buckets(pairs.data(), starts, ids, pool,
-                 [&](std::size_t k, std::uint32_t lo, std::uint32_t hi) {
-                     for (std::uint32_t i = lo; i < hi; ++i) {
-                         groups.order[i] = pairs[i].index;
-                     }
-                     if (splits.empty()) {
-                         return;
-                     }
-                     for (std::uint32_t i = lo + 1; i < hi; ++i) {
-                         if ((pairs[i].key >> group_shift) !=
-                             (pairs[i - 1].key >> group_shift)) {
-                             splits[k].push_back(i);
-                         }
-                     }
-                 });
-    auto add_group = [&](std::uint32_t at) {
-        groups.prefixes.push_back(pairs[at].key >> group_shift);
-        groups.begin.push_back(at);
-    };
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-        add_group(starts[ids[k]]);
-        if (!splits.empty()) {
-            for (const std::uint32_t at : splits[k]) {
-                add_group(at);
+        shift, bits, out.pairs.data(), pool));
+    const std::size_t nb = out.begin.size() - 1;
+    out.group_begin.resize(nb + 1);
+    if (prefix_bits == bits) {
+        // One group per bucket: the bucket field is the prefix.
+        out.prefixes.resize(nb);
+        for (std::size_t k = 0; k < nb; ++k) {
+            out.group_begin[k] = static_cast<std::uint32_t>(k);
+            out.prefixes[k] = out.pairs[out.begin[k]].key >> shift;
+        }
+        out.group_begin[nb] = static_cast<std::uint32_t>(nb);
+        return out;
+    }
+    // Longer prefixes: the distinct values of the extra prefix bits in each
+    // bucket, marked in a bitmap of at most 2^18 bits that is cleared again
+    // through the list of values it found.
+    const int extra = prefix_bits - bits;
+    const int group_shift = key_bits - prefix_bits;
+    const std::uint64_t extra_mask = (std::uint64_t{1} << extra) - 1;
+    std::vector<std::uint64_t> seen((std::size_t{1} << extra) / 64 + 1, 0);
+    std::vector<std::uint64_t> found;
+    for (std::size_t k = 0; k < nb; ++k) {
+        out.group_begin[k] = static_cast<std::uint32_t>(out.prefixes.size());
+        found.clear();
+        for (std::uint32_t i = out.begin[k]; i < out.begin[k + 1]; ++i) {
+            const std::uint64_t e = (out.pairs[i].key >> group_shift) & extra_mask;
+            std::uint64_t& word = seen[e / 64];
+            if ((word >> (e % 64) & 1) == 0) {
+                word |= std::uint64_t{1} << (e % 64);
+                found.push_back(e);
             }
         }
+        std::sort(found.begin(), found.end());
+        const std::uint64_t bucket = out.pairs[out.begin[k]].key >> shift;
+        for (const std::uint64_t e : found) {
+            out.prefixes.push_back(bucket << extra | e);
+            seen[e / 64] = 0;
+        }
     }
-    groups.begin.push_back(static_cast<std::uint32_t>(n));
+    out.group_begin[nb] = static_cast<std::uint32_t>(out.prefixes.size());
+    return out;
+}
+
+void sort_bucket(KeyIndex* a, KeyIndex* tmp, std::size_t n) { msd_sort(a, tmp, n); }
+
+PrefixGroups prefix_sort_order(std::span<const std::uint64_t> keys, int key_bits,
+                               int prefix_bits, ThreadPool* pool) {
+    PrefixBuckets buckets = prefix_buckets(keys, key_bits, prefix_bits, pool);
+    const int group_shift = key_bits - prefix_bits;
+    PrefixGroups groups;
+    groups.order.resize(keys.size());
+    groups.begin.resize(buckets.prefixes.size() + 1);
+    // Each sorted bucket starts its first group; a change of prefix inside
+    // it starts the next one (found in the bucket's own task).
+    sort_buckets(buckets.pairs.data(), buckets.begin, pool,
+                 [&](std::size_t k, std::uint32_t lo, std::uint32_t hi) {
+                     const KeyIndex* pairs = buckets.pairs.data();
+                     std::uint32_t g = buckets.group_begin[k];
+                     groups.begin[g] = lo;
+                     for (std::uint32_t i = lo; i < hi; ++i) {
+                         groups.order[i] = pairs[i].index;
+                         if (i > lo &&
+                             (pairs[i].key >> group_shift) != (pairs[i - 1].key >> group_shift)) {
+                             groups.begin[++g] = i;
+                         }
+                     }
+                     BAT_CHECK(g + 1 == buckets.group_begin[k + 1]);
+                 });
+    groups.begin.back() = static_cast<std::uint32_t>(keys.size());
+    groups.prefixes = std::move(buckets.prefixes);
     return groups;
 }
 

@@ -58,8 +58,26 @@ struct PrefixGroups {
 /// `key_bits`; the keys must agree on every bit at or above `key_bits`
 /// (Morton codes: key_bits = 63). Prefixes of up to 12 bits are the buckets
 /// of the counting pass itself; longer prefixes split each sorted bucket
-/// further.
+/// further. Runs prefix_buckets, then sort_bucket on every bucket.
 PrefixGroups prefix_sort_order(std::span<const std::uint64_t> keys, int key_bits,
                                int prefix_bits, ThreadPool* pool = nullptr);
+
+/// The counting pass of prefix_sort_order on its own, for callers that
+/// finish each bucket themselves (the BAT build's treelet-range jobs).
+/// Only non-empty buckets are listed. A bucket holds one group per distinct
+/// prefix among its keys: exactly one when prefix_bits <= 12, found by a
+/// linear distinct-value pass over the extra prefix bits otherwise.
+struct PrefixBuckets {
+    std::vector<KeyIndex> pairs;             // records in stable bucket order
+    std::vector<std::uint32_t> begin;        // buckets + 1 offsets into pairs
+    std::vector<std::uint32_t> group_begin;  // buckets + 1 offsets into prefixes
+    std::vector<std::uint64_t> prefixes;     // every group's prefix, ascending
+};
+PrefixBuckets prefix_buckets(std::span<const std::uint64_t> keys, int key_bits,
+                             int prefix_bits, ThreadPool* pool = nullptr);
+
+/// Finish one bucket of prefix_buckets: stable MSD radix sort of a[0, n) by
+/// key. `tmp` has room for n records.
+void sort_bucket(KeyIndex* a, KeyIndex* tmp, std::size_t n);
 
 }  // namespace bat

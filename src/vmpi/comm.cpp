@@ -41,6 +41,13 @@ struct BlockedScope {
     }
 };
 
+void throw_if_aborted(const std::atomic<bool>* aborted, int rank) {
+    if (aborted != nullptr && aborted->load(std::memory_order_acquire)) {
+        throw PeerFailureError("rank " + std::to_string(rank) +
+                               " stopped waiting: another rank failed");
+    }
+}
+
 }  // namespace
 
 void Request::wait() {
@@ -53,6 +60,7 @@ void Request::wait() {
         const BlockedScope blocked(impl_->rank, impl_->block_op, impl_->block_peer,
                                    impl_->block_tag);
         while (!test()) {
+            throw_if_aborted(impl_->aborted.get(), impl_->rank);
             // Under schedule exploration: a free switch to another runnable
             // thread (throws sched::DeadlockError once the run is declared
             // stuck); a plain OS yield otherwise.
@@ -79,6 +87,7 @@ void Request::wait() {
         if (test()) {
             break;
         }
+        throw_if_aborted(impl_->aborted.get(), impl_->rank);
         if (validator->poll_deadlock(impl_->rank, seen_progress)) {
             throw DeadlockError(validator->deadlock_message());
         }
@@ -156,6 +165,7 @@ Request Comm::irecv(int src, int tag, Bytes& out, int* from) {
     const int me = rank_;
     auto impl = std::make_shared<Request::Impl>();
     impl->rank = me;
+    impl->aborted = rt_->aborted_;
     if (Validator* val = validator()) {
         val->on_recv_posted(me, src, tag, detail::in_collective());
         impl->validator = rt_->validator_;
@@ -220,6 +230,7 @@ bool Comm::iprobe(int src, int tag, int* from, std::size_t* bytes) {
     if (Validator* val = validator()) {
         val->on_probe(rank_, src, tag, detail::in_collective());
     }
+    throw_if_aborted(rt_->aborted_.get(), rank_);
     const bool hit = rt_->try_match(rank_, src, tag, nullptr, from, /*consume=*/false, bytes);
     if (!hit && sched::maybe_active() && sched::this_thread_scheduled()) {
         // Probe miss in a server poll loop: let someone else run (free
@@ -265,6 +276,7 @@ Request Comm::ibarrier() {
     Runtime* rt = rt_;
     auto impl = std::make_shared<Request::Impl>();
     impl->rank = rank_;
+    impl->aborted = rt_->aborted_;
     if (Validator* val = validator()) {
         val->on_collective(rank_);
         val->on_progress();  // our arrival may complete other ranks' barriers

@@ -21,6 +21,7 @@
 // receives, starved mailbox messages, genuine wait deadlocks) is caught by
 // the opt-in validator — see vmpi/validator.hpp and docs/CORRECTNESS.md.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -51,6 +52,15 @@ inline constexpr int kMaxUserTag = 1 << 20;
 class Runtime;
 class Comm;
 
+/// Thrown out of a blocking wait or a probe once another rank's body has
+/// thrown: the failed rank may never send what this one waits for, so the
+/// survivors unwind instead of spinning. Runtime::run rethrows the failed
+/// rank's original exception, not this one.
+class PeerFailureError : public Error {
+public:
+    explicit PeerFailureError(const std::string& what) : Error(what) {}
+};
+
 /// Completion handle for a nonblocking operation. Requests are cheap,
 /// movable handles; test() polls, wait() blocks (yield-spinning).
 class Request {
@@ -59,9 +69,10 @@ public:
 
     /// True once the operation has completed. Idempotent.
     bool test();
-    /// Block until complete. Under an enabled validator, throws
-    /// DeadlockError once the deadlock detector declares no event can
-    /// complete this request (instead of spinning forever).
+    /// Block until complete. Throws PeerFailureError once another rank
+    /// has failed. Under an enabled validator, throws DeadlockError once
+    /// the deadlock detector declares no event can complete this request
+    /// (instead of spinning forever).
     void wait();
     bool valid() const { return impl_ != nullptr; }
 
@@ -73,6 +84,9 @@ private:
         bool done = false;
         // Validator bookkeeping; null when validation is disabled.
         std::shared_ptr<Validator> validator;
+        // The runtime's abort flag (set once a rank's body throws); null
+        // for requests that are complete on creation.
+        std::shared_ptr<const std::atomic<bool>> aborted;
         int rank = -1;
         std::string desc;
         // Structured blocked-on fields for the stall watchdog: set on every
@@ -121,7 +135,8 @@ public:
     Bytes recv(int src, int tag, int* from = nullptr);
 
     /// Nonblocking probe: true if a matching message is waiting; fills
-    /// `from`/`bytes` if provided. Does not consume the message.
+    /// `from`/`bytes` if provided. Does not consume the message. Throws
+    /// PeerFailureError once another rank has failed (server loops poll).
     bool iprobe(int src, int tag, int* from = nullptr, std::size_t* bytes = nullptr);
 
     // ---- typed helpers --------------------------------------------------
@@ -222,10 +237,13 @@ private:
 class Runtime {
 public:
     /// Run `fn(comm)` on `nranks` ranks, each on its own thread. Rethrows
-    /// the first exception raised by any rank (after all ranks joined or
-    /// the failure is fatal). Protocol validation is off unless
-    /// BAT_VMPI_VALIDATE is set in the environment, in which case
-    /// diagnostics are logged as warnings at finalize.
+    /// the first exception raised by any rank, after all ranks joined: the
+    /// first failure sets an abort flag that makes every other rank's
+    /// blocking waits and probes throw PeerFailureError, so no survivor
+    /// spins on a message the failed rank will never send. Protocol
+    /// validation is off unless BAT_VMPI_VALIDATE is set in the
+    /// environment, in which case diagnostics are logged as warnings at
+    /// finalize.
     static void run(int nranks, const std::function<void(Comm&)>& fn);
 
     /// Run with the protocol validator enabled and return its report.
@@ -301,6 +319,8 @@ private:
 
     int nranks_;
     std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+    // Set once any rank's body throws (shared with Request impls).
+    std::shared_ptr<std::atomic<bool>> aborted_ = std::make_shared<std::atomic<bool>>(false);
 
     CheckedMutex ibarrier_mutex_{"vmpi.ibarrier"};
     // Keyed by per-rank ibarrier sequence number; all ranks call ibarrier in

@@ -193,7 +193,10 @@ ValidationReport Runtime::run_impl_inner(int nranks, const std::function<void(Co
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(nranks));
     std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
-    std::atomic<bool> failed{false};
+    // The exception that set the abort flag; every later failure (the
+    // PeerFailureErrors it causes included) is a consequence of it.
+    std::exception_ptr first_error;
+    std::atomic<bool>& aborted = *rt.aborted_;
 
     // Under schedule exploration, announce every rank thread before any is
     // spawned: the creating thread fixes slot assignment deterministically.
@@ -206,7 +209,8 @@ ValidationReport Runtime::run_impl_inner(int nranks, const std::function<void(Co
     }
     for (int r = 0; r < nranks; ++r) {
         const std::uint64_t sched_handle = sched_handles[static_cast<std::size_t>(r)];
-        threads.emplace_back([&rt, &fn, &errors, &failed, &validator, r, sched_handle] {
+        threads.emplace_back([&rt, &fn, &errors, &first_error, &aborted, &validator, r,
+                              sched_handle] {
             const sched::AdoptScope sched_adopt(sched_handle);
             // Tag this thread with its rank so log lines carry an "rN"
             // prefix and trace events land on the rank's timeline track.
@@ -223,7 +227,9 @@ ValidationReport Runtime::run_impl_inner(int nranks, const std::function<void(Co
                 fn(comm);
             } catch (...) {
                 errors[static_cast<std::size_t>(r)] = std::current_exception();
-                failed.store(true, std::memory_order_release);
+                if (!aborted.exchange(true, std::memory_order_acq_rel)) {
+                    first_error = errors[static_cast<std::size_t>(r)];
+                }
             }
             obs::rank_end(r);
             if (validator.enabled()) {
@@ -269,18 +275,20 @@ ValidationReport Runtime::run_impl_inner(int nranks, const std::function<void(Co
         report = validator.take_report();
     }
 
-    if (failed.load(std::memory_order_acquire)) {
+    if (aborted.load(std::memory_order_acquire)) {
+        if (rethrow) {
+            std::rethrow_exception(first_error);
+        }
         for (auto& e : errors) {
             if (!e) {
                 continue;
-            }
-            if (rethrow) {
-                std::rethrow_exception(e);
             }
             try {
                 std::rethrow_exception(e);
             } catch (const DeadlockError&) {
                 // Already captured as a deadlock diagnostic.
+            } catch (const PeerFailureError&) {
+                // A consequence of another rank's error, listed on its own.
             } catch (const std::exception& ex) {
                 report.rank_errors.emplace_back(ex.what());
             } catch (...) {

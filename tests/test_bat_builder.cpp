@@ -232,6 +232,92 @@ TEST(BatBuilderTest, PoolBuildByteIdenticalToSerial) {
     EXPECT_EQ(serialize_bat(serial), serialize_bat(pooled));
 }
 
+/// The treelets and particles of a BatBuild whose jobs are cut at every
+/// bucket boundary (every treelet boundary when the subprefix fits the
+/// bucket field): even buckets run through the remote job path (pack,
+/// run_treelet_job, place_result), odd ones locally, plus an empty job.
+BatData build_cut_at_every_bucket(const ParticleSet& particles, const BatConfig& config,
+                                  ThreadPool* pool) {
+    BatBuild build(particles, config, pool);
+    build.place_result(0, 0, run_treelet_job(build.pack_job(0, 0), pool));
+    for (std::size_t b = 0; b < build.num_buckets(); ++b) {
+        if (b % 2 == 0) {
+            build.place_result(b, b + 1, run_treelet_job(build.pack_job(b, b + 1), pool));
+        } else {
+            build.run_local(b, b + 1);
+        }
+    }
+    return build.finish();
+}
+
+std::vector<std::uint64_t> treelet_hashes(const BatData& bat) {
+    std::vector<std::uint64_t> hashes;
+    for (const Treelet& t : bat.treelets) {
+        hashes.push_back(t.hash);
+    }
+    return hashes;
+}
+
+TEST(BatBuilderTest, BuildEqualsBuildCutAtEveryTreeletBoundary) {
+    // A treelet range is built the same wherever it runs: the global
+    // treelet index seeds its LOD sampling, and the bucket pass fixes its
+    // particles and its place in the layout before any job starts.
+    const auto blobs = make_random_blobs(kUnit, 6, 5);
+    const ParticleSet set = make_mixture_particles(kUnit, blobs, 20'000, 3, 17);
+    ThreadPool pool(3);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        for (const bool hash : {false, true}) {
+            for (const BinningScheme binning :
+                 {BinningScheme::equal_width, BinningScheme::equal_depth}) {
+                for (const int fixed_bits : {0, 15}) {  // 0: auto subprefix
+                    BatConfig config;
+                    config.seed = 99;
+                    config.hash_treelets = hash;
+                    config.binning = binning;
+                    if (fixed_bits > 0) {
+                        config.auto_subprefix = false;
+                        config.subprefix_bits = fixed_bits;
+                    }
+                    SCOPED_TRACE(::testing::Message()
+                                 << (p != nullptr ? "pooled" : "serial") << " hash=" << hash
+                                 << " binning=" << static_cast<int>(binning)
+                                 << " bits=" << fixed_bits);
+                    const BatData whole = build_bat(set, config, p);
+                    const BatData cut = build_cut_at_every_bucket(set, config, p);
+                    EXPECT_GT(whole.treelets.size(), 4u);
+                    EXPECT_EQ(serialize_bat(whole), serialize_bat(cut));
+                    EXPECT_EQ(treelet_hashes(whole), treelet_hashes(cut));
+                    if (fixed_bits == 15) {
+                        BatBuild probe(set, config, p);
+                        EXPECT_LT(probe.num_buckets(), whole.treelets.size())
+                            << "buckets hold several treelets past 12 bits";
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(BatBuilderTest, BuildLeavesItsInputUntouched) {
+    const ParticleSet set = make_uniform_particles(kUnit, 5'000, 2, 4);
+    const ParticleSet copy = set;
+    const BatData bat = build_bat(set, BatConfig{});
+    EXPECT_EQ(bat.particles.count(), set.count());
+    EXPECT_TRUE(std::equal(set.positions().begin(), set.positions().end(),
+                           copy.positions().begin()));
+}
+
+TEST(BatBuilderTest, CorruptJobIsRejected) {
+    const ParticleSet set = make_uniform_particles(kUnit, 20'000, 2, 8);
+    BatBuild build(set, BatConfig{});
+    std::vector<std::byte> job = build.pack_job(0, build.num_buckets());
+    job.resize(job.size() / 2);
+    EXPECT_THROW(run_treelet_job(job), Error);
+    // A result that holds another range's treelet count is refused.
+    const TreeletJobResult result = run_treelet_job(build.pack_job(0, 1));
+    EXPECT_THROW(build.place_result(0, 2, result), Error);
+}
+
 // ---- bitmaps ---------------------------------------------------------------
 
 TEST(BitmapTest, BinBoundaries) {

@@ -49,6 +49,43 @@ inline std::string file_bytes(const std::filesystem::path& path) {
     return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
+/// Rank domains for a write with one dominant rank: x slabs of `bounds`
+/// cut at the given quantiles of the particles' x coordinates (so the last
+/// slab holds the rest, 1 - cuts.back() of the particles).
+inline std::vector<Box> quantile_slabs(const ParticleSet& set, const Box& bounds,
+                                       const std::vector<double>& cuts) {
+    std::vector<float> xs(set.count());
+    for (std::size_t i = 0; i < set.count(); ++i) {
+        xs[i] = set.position(i).x;
+    }
+    std::sort(xs.begin(), xs.end());
+    std::vector<Box> slabs;
+    float lo = bounds.lower.x;
+    for (const double q : cuts) {
+        const float hi = xs[static_cast<std::size_t>(q * static_cast<double>(xs.size()))];
+        slabs.emplace_back(Vec3{lo, bounds.lower.y, bounds.lower.z},
+                           Vec3{hi, bounds.upper.y, bounds.upper.z});
+        lo = hi;
+    }
+    slabs.emplace_back(Vec3{lo, bounds.lower.y, bounds.lower.z}, bounds.upper);
+    return slabs;
+}
+
+/// Split `set` over x slabs: a particle goes to the first slab whose upper
+/// x exceeds its own (the last slab takes the rest).
+inline std::vector<ParticleSet> split_by_slabs(const ParticleSet& set,
+                                               const std::vector<Box>& slabs) {
+    std::vector<ParticleSet> parts(slabs.size(), ParticleSet(set.attr_names()));
+    for (std::size_t i = 0; i < set.count(); ++i) {
+        std::size_t s = 0;
+        while (s + 1 < slabs.size() && set.position(i).x >= slabs[s].upper.x) {
+            ++s;
+        }
+        parts[s].append_from(set, i);
+    }
+    return parts;
+}
+
 /// Brute-force reference: indices of particles inside `box` (and matching
 /// an optional attribute range).
 inline std::vector<std::size_t> brute_force_query(const ParticleSet& set, const Box& box,

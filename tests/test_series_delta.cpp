@@ -390,6 +390,76 @@ TEST(SeriesDeltaTest, DriftedReusedPlanWritesSameFilesAsPlanless) {
     }
 }
 
+TEST(SeriesDeltaTest, HelpedReusedPlanWritesSameFilesAsPlanless) {
+    // Three x slabs fixed at step 0, the last holding ~75% of a growing
+    // Coal Boiler: rank 2's leaf is helped by ranks 0 and 1. Reused plans
+    // carry the help plan's fractions, which apply to the drifted counts;
+    // every keyframe step must equal a planless write byte for byte.
+    testing::TempDir dir;
+    constexpr int kRanks = 3;
+    BoilerConfig boiler;
+    boiler.particles_at_start = 60'000;
+    boiler.particles_at_end = 120'000;
+    const std::vector<int> steps{2101, 2301, 2501, 2701};
+    const ParticleSet first = make_boiler_particles(boiler, steps.front());
+    const std::vector<Box> boxes = testing::quantile_slabs(first, boiler.domain, {0.1, 0.25});
+    std::vector<std::vector<ParticleSet>> per_step;
+    for (const int t : steps) {
+        per_step.push_back(testing::split_by_slabs(make_boiler_particles(boiler, t), boxes));
+    }
+    WriterConfig config;
+    config.tree.target_file_size = 1 << 20;  // one leaf per rank
+    config.directory = dir.path();
+    config.basename = "series";
+    config.delta.keyframe_interval = 1;
+    auto& help = obs::MetricsRegistry::global().counter("write.help_particles");
+    // Help counted by each step's planned write alone (before, after).
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> helped(steps.size());
+    std::vector<std::vector<WriteResult>> planned(steps.size(),
+                                                  std::vector<WriteResult>(kRanks));
+    vmpi::Runtime::run(kRanks, [&](vmpi::Comm& comm) {
+        const auto r = static_cast<std::size_t>(comm.rank());
+        SeriesWriter writer(config);
+        for (std::size_t s = 0; s < steps.size(); ++s) {
+            comm.barrier();
+            if (r == 0) {
+                helped[s].first = help.value();
+            }
+            comm.barrier();
+            planned[s][r] = writer.write_timestep(comm, steps[s], per_step[s][r], boxes[r]);
+            comm.barrier();
+            if (r == 0) {
+                helped[s].second = help.value();
+            }
+            WriterConfig one_shot = config;  // same file names, own directory
+            one_shot.directory = dir.path() / "planless";
+            one_shot.basename = "series_t" + std::to_string(steps[s]);
+            write_particles(comm, per_step[s][r], boxes[r], one_shot);
+            comm.barrier();
+        }
+    });
+
+    for (std::size_t s = 1; s < steps.size(); ++s) {
+        SCOPED_TRACE("step " + std::to_string(steps[s]));
+        for (std::size_t r = 0; r < kRanks; ++r) {
+            ASSERT_TRUE(planned[s][r].reused_plan) << "rank " << r;
+        }
+        EXPECT_NE(per_step[s][2].count(), per_step[0][2].count());
+        EXPECT_GT(helped[s].second, helped[s].first) << "the reused plan did not help";
+        const std::string name = "series_t" + std::to_string(steps[s]);
+        std::vector<std::string> files{name + ".batmeta"};
+        for (int leaf = 0; leaf < planned[s][0].num_leaves; ++leaf) {
+            files.push_back(name + "_" + std::to_string(leaf) + ".bat");
+        }
+        for (const std::string& file : files) {
+            ASSERT_TRUE(std::filesystem::exists(dir.path() / file)) << file;
+            EXPECT_EQ(testing::file_bytes(dir.path() / file),
+                      testing::file_bytes(dir.path() / "planless" / file))
+                << file;
+        }
+    }
+}
+
 /// Bytes inline treelet `t` of a BAT file spans on disk: from its block
 /// offset to the next block, or to the end of the file rounded up to a page
 /// (every block starts on one).

@@ -266,6 +266,43 @@ TEST(VmpiTest, RankExceptionPropagates) {
                  Error);
 }
 
+TEST(VmpiTest, RankFailureUnblocksWaitingRanks) {
+    // Rank 2 throws before sending anything; the others are blocked on it
+    // in a point-to-point recv, a barrier and a gatherv. run() must return
+    // the original error instead of spinning forever, and a server loop
+    // polling iprobe must stop too.
+    for (int blocked_in = 0; blocked_in < 4; ++blocked_in) {
+        SCOPED_TRACE("blocked in op " + std::to_string(blocked_in));
+        std::atomic<int> peer_failures{0};
+        try {
+            Runtime::run(4, [&](Comm& comm) {
+                if (comm.rank() == 2) {
+                    throw Error("rank 2 failed on purpose");
+                }
+                try {
+                    switch (blocked_in) {
+                        case 0: comm.recv(2, 5); break;
+                        case 1: comm.barrier(); break;
+                        case 2: comm.gatherv(Bytes(8), 0); comm.barrier(); break;
+                        default:
+                            while (!comm.iprobe(2, 5)) {
+                            }
+                    }
+                } catch (const PeerFailureError&) {
+                    peer_failures.fetch_add(1);
+                    throw;
+                }
+            });
+            ADD_FAILURE() << "run() returned normally";
+        } catch (const PeerFailureError& e) {
+            ADD_FAILURE() << "run() rethrew a consequence: " << e.what();
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("failed on purpose"), std::string::npos);
+        }
+        EXPECT_GT(peer_failures.load(), 0);
+    }
+}
+
 TEST(VmpiTest, SelfSendWorks) {
     Runtime::run(1, [](Comm& comm) {
         comm.isend(0, 1, make_payload(5));

@@ -11,8 +11,11 @@
 
 #include "io/reader.hpp"
 #include "io/writer.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "workloads/boiler.hpp"
 #include "workloads/decomposition.hpp"
 #include "workloads/mixtures.hpp"
 #include "workloads/uniform.hpp"
@@ -439,6 +442,123 @@ TEST(WriterReaderTest, RepeatedWritesProduceIdenticalFiles) {
     write_once(dir_a.path());
     write_once(dir_b.path());
     expect_same_files(dir_a.path(), dir_b.path());
+}
+
+std::uint64_t help_particles() {
+    return obs::MetricsRegistry::global().counter("write.help_particles").value();
+}
+
+/// Collective write of `parts` (rank r owns slab `boxes[r]`) into `dir`.
+void write_collective(const std::vector<ParticleSet>& parts, const std::vector<Box>& boxes,
+                      const WriterConfig& config) {
+    vmpi::Runtime::run(static_cast<int>(parts.size()), [&](vmpi::Comm& comm) {
+        const auto r = static_cast<std::size_t>(comm.rank());
+        write_particles(comm, parts[r], boxes[r], config);
+    });
+}
+
+TEST(WriterReaderTest, HelpedWriteWithDominantRankMatchesSerialWriter) {
+    // Coal Boiler over three x slabs, the last holding 75% of the particles:
+    // one leaf per rank, so rank 2's leaf is the heavy one and ranks 0 and
+    // 1 build treelet ranges of it. The serial writer never helps; both
+    // must write the same bytes, with and without a pool.
+    BoilerConfig boiler;
+    boiler.particles_at_start = 120'000;
+    boiler.particles_at_end = 120'000;
+    const ParticleSet global = make_boiler_particles(boiler, 2501);
+    const std::vector<Box> boxes =
+        testing::quantile_slabs(global, global.bounds(), {0.1, 0.25});
+    const std::vector<ParticleSet> parts = testing::split_by_slabs(global, boxes);
+    ASSERT_GT(parts[2].count(), 2 * (parts[0].count() + parts[1].count()));
+    ThreadPool pool(2);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE(p != nullptr ? "pooled" : "serial");
+        const testing::TempDir dir;
+        WriterConfig config = writer_config(dir.path() / "serial", AggStrategy::adaptive, 1 << 20);
+        config.pool = p;
+        const WriteResult serial = write_particles_serial(parts, boxes, config);
+        EXPECT_EQ(serial.num_leaves, 3);
+        const std::uint64_t before = help_particles();
+        config.directory = dir.path() / "collective";
+        write_collective(parts, boxes, config);
+        EXPECT_GT(help_particles(), before) << "the heavy leaf was built without help";
+        expect_same_files(dir.path() / "serial", dir.path() / "collective");
+    }
+}
+
+TEST(WriterReaderTest, TieHeavyHelpedWriteMatchesSerialWriter) {
+    // Every particle sits on one of 512 lattice points, so most Morton codes
+    // tie and the output order of a tie is its order in the merged leaf:
+    // the senders' merge order and each job's pack order reach the bytes.
+    // All ranks share one domain box, so one leaf takes all of them and its
+    // aggregator ships most of it to the other ranks as jobs.
+    constexpr int kRanks = 3;
+    const std::size_t counts[kRanks] = {30'000, 20'000, 12'000};
+    const Box box({0, 0, 0}, {1, 1, 1});
+    std::vector<ParticleSet> parts;
+    Pcg32 rng(5);
+    double id = 0;
+    for (int r = 0; r < kRanks; ++r) {
+        ParticleSet part({"id", "noise"});
+        for (std::size_t i = 0; i < counts[r]; ++i) {
+            const auto cell = [&] { return static_cast<float>(rng.next_bounded(8)) / 8.f; };
+            const Vec3 p{cell(), cell(), cell()};
+            const double attrs[] = {id++, static_cast<double>(rng.next_bounded(1000))};
+            part.push_back(p, attrs);
+        }
+        parts.push_back(std::move(part));
+    }
+    const std::vector<Box> boxes(kRanks, box);
+    const testing::TempDir dir;
+    WriterConfig config = writer_config(dir.path() / "serial", AggStrategy::adaptive, 1 << 20);
+    const WriteResult serial = write_particles_serial(parts, boxes, config);
+    ASSERT_EQ(serial.num_leaves, 1);
+    const std::uint64_t before = help_particles();
+    config.directory = dir.path() / "collective";
+    write_collective(parts, boxes, config);
+    EXPECT_GT(help_particles(), before);
+    expect_same_files(dir.path() / "serial", dir.path() / "collective");
+}
+
+TEST(WriterReaderTest, BalancedLeavesPlanNoHelp) {
+    // Four ranks with exactly equal counts, one leaf (file) each: no rank
+    // is above the mean, so nothing ships.
+    const GridDecomp decomp = grid_decomp_3d(4, kDomain);
+    std::vector<ParticleSet> parts;
+    std::vector<Box> boxes;
+    for (int r = 0; r < 4; ++r) {
+        boxes.push_back(decomp.rank_box(r));
+        parts.push_back(make_uniform_particles(boxes.back(), 30'000, 2,
+                                               static_cast<std::uint64_t>(r)));
+    }
+    const testing::TempDir dir;
+    const std::uint64_t before = help_particles();
+    write_collective(parts, boxes,
+                     writer_config(dir.path(), AggStrategy::file_per_process, 1 << 20));
+    EXPECT_EQ(help_particles(), before);
+}
+
+TEST(WriterReaderTest, HelpProtocolPassesValidation) {
+    // Jobs and results travel under their own tags: a helped write must
+    // finish with zero protocol diagnostics and no deadlock.
+    BoilerConfig boiler;
+    boiler.particles_at_start = 80'000;
+    boiler.particles_at_end = 80'000;
+    const ParticleSet global = make_boiler_particles(boiler, 1501);
+    const std::vector<Box> boxes =
+        testing::quantile_slabs(global, global.bounds(), {0.05, 0.1, 0.2});
+    const std::vector<ParticleSet> parts = testing::split_by_slabs(global, boxes);
+    const testing::TempDir dir;
+    const std::uint64_t before = help_particles();
+    const auto report = vmpi::Runtime::run_validated(4, [&](vmpi::Comm& comm) {
+        const auto r = static_cast<std::size_t>(comm.rank());
+        write_particles(comm, parts[r], boxes[r],
+                        writer_config(dir.path(), AggStrategy::adaptive, 1 << 20));
+    });
+    EXPECT_GT(help_particles(), before);
+    EXPECT_FALSE(report.deadlock);
+    EXPECT_TRUE(report.rank_errors.empty());
+    EXPECT_TRUE(report.diagnostics.empty()) << report.summary();
 }
 
 TEST(WriterReaderTest, AnySourceTransferPassesProtocolValidation) {

@@ -36,6 +36,7 @@
 #include "io/reader.hpp"
 #include "io/series.hpp"
 #include "io/writer.hpp"
+#include "obs/metrics.hpp"
 #include "sched/sched.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -55,9 +56,12 @@ const bat::Box kDomain({0, 0, 0}, {4, 4, 4});
 /// The writer runs two SeriesWriter steps, so the transfer merge runs under
 /// a fresh plan and then under a reused plan whose cached per-rank counts
 /// are stale (rank 0 drops 10% of its particles, under the replan
-/// threshold); the reads then go to the second step. Small sizes keep one
-/// seed in the tens of milliseconds; the schedule freedom comes from
-/// 2 ranks + 2 pool workers, not from data volume.
+/// threshold); the reads then go to the second step. Rank 0 holds 24x the
+/// particles of rank 1, so in both steps rank 1 builds treelet-range jobs
+/// of rank 0's leaf and the job/result messages run under the explorer
+/// and the race checker. Sizes stay just above the smallest shipped job;
+/// the schedule freedom comes from 2 ranks + 2 pool workers, not from data
+/// volume.
 void scenario_round() {
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() /
@@ -73,8 +77,11 @@ void scenario_round() {
 
     const int nranks = 2;
     const bat::GridDecomp decomp = bat::grid_decomp_3d(nranks, kDomain);
-    const bat::ParticleSet global = bat::make_uniform_particles(kDomain, 2'000, 2, 7);
-    std::vector<bat::ParticleSet> per_rank = bat::partition_particles(global, decomp);
+    std::vector<bat::ParticleSet> per_rank;
+    for (int r = 0; r < nranks; ++r) {
+        per_rank.push_back(bat::make_uniform_particles(decomp.rank_box(r),
+                                                       r == 0 ? 48'000 : 2'000, 2, 7 + r));
+    }
 
     bat::ThreadPool pool(2);
     bat::LeafFileCache cache(16);
@@ -97,6 +104,8 @@ void scenario_round() {
         const bat::WriteResult result =
             writer.write_timestep(comm, 1, drifted[r], decomp.rank_box(comm.rank()));
         BAT_CHECK_MSG(result.reused_plan, "round: step 1 did not reuse the plan");
+        BAT_CHECK_MSG(bat::obs::MetricsRegistry::global().counter("write.help_jobs").value() >= 2,
+                      "round: rank 0's leaf was built without help");
         if (comm.rank() == 0) {
             meta_path = result.metadata_path;
         }
