@@ -1,10 +1,11 @@
 // build_bat stages, in order: attribute ranges/edges, Morton encode, the
-// subprefix bucket pass (the global steps, on the aggregator); then per
-// treelet-range job the in-bucket Morton sort, treelet k-d builds, reorder
-// into layout order and bitmaps; then the shallow tree. Each is a bat.*
-// phase span. The bucket pass (util/radix_sort) buckets by the shallow-tree
-// subprefix, so the non-empty buckets are the treelets' particle ranges and
-// their subprefixes are the Karras tree's input before any bucket is sorted.
+// subprefix bucket pass (the global steps, on the aggregator; a delta
+// build then keys and skips its unchanged treelets); then per treelet-range
+// job the in-bucket Morton sort, treelet k-d builds, reorder into layout
+// order and bitmaps; then the shallow tree. Each is a bat.* phase span.
+// The bucket pass (util/radix_sort) buckets by the shallow-tree subprefix,
+// so the non-empty buckets are the treelets' particle ranges and their
+// subprefixes are the Karras tree's input before any bucket is sorted.
 
 #include "core/bat_builder.hpp"
 
@@ -141,6 +142,14 @@ std::uint32_t bitmap_for_range(double lo, double hi, const BinEdges& edges) {
     return bits;
 }
 
+std::size_t BatData::num_particles() const {
+    std::size_t n = 0;
+    for (const Treelet& t : treelets) {
+        n += t.num_particles;
+    }
+    return n;
+}
+
 std::uint32_t BatData::root_bitmap(std::size_t a) const {
     BAT_CHECK(a < num_attrs());
     if (shallow_nodes.empty()) {
@@ -202,6 +211,7 @@ void sample_lod(BuildContext& ctx, std::uint32_t lo, std::uint32_t hi, std::uint
 struct TreeletBuilder {
     BuildContext& ctx;
     Treelet& treelet;
+    std::uint32_t base;  // the treelet's first record
     Pcg32 rng;
 
     /// Build the node over ordered range [lo, hi) at `depth`; returns the
@@ -212,7 +222,7 @@ struct TreeletBuilder {
         treelet.max_depth = std::max(treelet.max_depth, depth);
         const std::uint32_t n = hi - lo;
         TreeletNode node;
-        node.start = lo - treelet.first_particle;
+        node.start = lo - base;
         node.count = n;
 
         // Leaf: small enough, or too small to both sample LOD particles and
@@ -279,6 +289,10 @@ SrcColumns columns_of(const ParticleSet& set) {
         c.attrs.push_back(reinterpret_cast<const std::byte*>(set.attr(a).data()));
     }
     return c;
+}
+
+SrcColumns read_only(const DstColumns& c) {
+    return SrcColumns{c.pos, {c.attrs.begin(), c.attrs.end()}};
 }
 
 DstColumns columns_of(ParticleSet& set) {
@@ -351,56 +365,84 @@ void compute_treelet_bitmaps(Treelet& treelet, std::size_t a, std::size_t nattrs
     }
 }
 
-/// Content hash of one finished treelet (delta detection) whose rows start
-/// at `rows`: covers exactly the per-treelet payload serialize_bat writes
-/// (counts, depth, bounds, nodes, bitmaps, positions, attribute values) so
-/// hash equality implies byte-identical treelet blocks on disk.
-std::uint64_t treelet_hash(const Treelet& treelet, const DstColumns& rows) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    // Word-wise multiply-xorshift mix: the hash only ever meets hashes
-    // computed by this same code on the previous step (it is never
-    // persisted), and byte-at-a-time FNV would make the hash pass cost as
-    // much as the delta path saves on file writes.
-    auto mix = [&h](const void* data, std::size_t bytes) {
-        const auto* p = static_cast<const unsigned char*>(data);
-        std::size_t i = 0;
-        for (; i + 8 <= bytes; i += 8) {
-            std::uint64_t w;
-            std::memcpy(&w, p + i, 8);
-            h = (h ^ w) * 0x9e3779b97f4a7c15ull;
-            h ^= h >> 29;
+/// One step of the key's word-wise multiply-xorshift mix.
+inline std::uint64_t mix(std::uint64_t h, std::uint64_t w) {
+    h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+    return h ^ (h >> 29);
+}
+
+/// What a treelet's build reads besides its rows: its global treelet index
+/// (the LOD seed), its point count and the build parameters. The bin edges
+/// are left out: bitmaps are compared, or skipped only while the edges
+/// stay put (see BatBuild).
+std::uint64_t key_salt(const BatConfig& config, std::uint64_t global_index,
+                       std::uint32_t num_points, std::size_t nattrs) {
+    std::uint64_t h = mix(0xcbf29ce484222325ull, config.seed);
+    h = mix(h, static_cast<std::uint64_t>(config.lod_per_inner) << 32 |
+                   static_cast<std::uint32_t>(config.max_leaf_size));
+    h = mix(h, global_index << 32 | num_points);
+    return mix(h, nattrs);
+}
+
+/// Hash of each of the `count` rows of `src`: its position, then its
+/// attribute values. Column by column, so every column streams once and
+/// the rows' mix chains run side by side.
+std::vector<std::uint64_t> row_hashes(const SrcColumns& src, std::size_t count) {
+    std::vector<std::uint64_t> h(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        std::uint64_t xy;
+        std::uint32_t z;
+        std::memcpy(&xy, src.pos + 12 * i, 8);
+        std::memcpy(&z, src.pos + 12 * i + 8, 4);
+        h[i] = mix(mix(0x84222325cbf29ce4ull, xy), z);
+    }
+    for (const std::byte* attr : src.attrs) {
+        for (std::size_t i = 0; i < count; ++i) {
+            std::uint64_t v;
+            std::memcpy(&v, attr + 8 * i, 8);
+            h[i] = mix(h[i], v);
         }
-        if (i < bytes) {
-            std::uint64_t tail = 0;
-            std::memcpy(&tail, p + i, bytes - i);
-            h = (h ^ (tail + bytes)) * 0x9e3779b97f4a7c15ull;
-            h ^= h >> 29;
-        }
-    };
-    mix(&treelet.num_particles, sizeof(treelet.num_particles));
-    mix(&treelet.max_depth, sizeof(treelet.max_depth));
-    mix(&treelet.bounds, sizeof(treelet.bounds));
-    mix(treelet.nodes.data(), treelet.nodes.size() * sizeof(TreeletNode));
-    mix(treelet.bitmaps.data(), treelet.bitmaps.size() * sizeof(std::uint32_t));
-    mix(rows.pos, 12 * std::size_t{treelet.num_particles});
-    for (const std::byte* attr : rows.attrs) {
-        mix(attr, 8 * std::size_t{treelet.num_particles});
     }
     return h;
 }
 
+/// Key of one treelet's build input (Treelet::key): `hash_of(i)` is the
+/// row hash of its i-th of `n` rows in in-bucket Morton order. The key is
+/// never persisted and only meets keys of this same code, so it mixes in
+/// four interleaved lanes rather than one serial chain.
+template <typename HashOf>
+std::uint64_t treelet_key(std::size_t n, HashOf&& hash_of, std::uint64_t salt) {
+    std::uint64_t h[4] = {salt, salt + 1, salt + 2, salt + 3};
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {  // row i goes to lane i % 4
+        h[0] = mix(h[0], hash_of(i));
+        h[1] = mix(h[1], hash_of(i + 1));
+        h[2] = mix(h[2], hash_of(i + 2));
+        h[3] = mix(h[3], hash_of(i + 3));
+    }
+    for (; i < n; ++i) {
+        h[i % 4] = mix(h[i % 4], hash_of(i));
+    }
+    return mix(mix(mix(mix(salt, h[0]), h[1]), h[2]), h[3]);
+}
+
 /// One treelet-range job: a contiguous run of subprefix buckets, built from
-/// `src` into the job's rows of `dst` (row 0 of `dst` is the job's first).
+/// `src` into `dst`. A delta build's output holds rows only for the
+/// buckets it builds, so a bucket's first output row is `work`, not its
+/// first layout row.
 struct RangeJob {
     std::span<KeyIndex> pairs;                   // bucket order; index = src row
     std::span<const std::uint32_t> begin;        // bucket offsets into the
                                                  // leaf (buckets + 1)
     std::span<const std::uint32_t> group_begin;  // global treelet index of each
                                                  // bucket's first treelet (+ end)
+    std::span<const std::uint32_t> work;         // each bucket's first output
+                                                 // row (+ end)
     SrcColumns src;
-    DstColumns dst;
+    DstColumns dst;                              // the output's row 0
     std::size_t first_row = 0;                   // the job's first layout row
     std::span<Treelet> treelets;                 // this job's treelets
+    bool keyed = false;                          // key the treelets built
 
     std::size_t num_buckets() const { return begin.size() - 1; }
 
@@ -411,96 +453,161 @@ struct RangeJob {
         sub.pairs = pairs.subspan(at, begin[k1] - begin[k0]);
         sub.begin = begin.subspan(k0, k1 - k0 + 1);
         sub.group_begin = group_begin.subspan(k0, k1 - k0 + 1);
-        sub.dst = dst.rows_from(at);
+        sub.work = work.subspan(k0, k1 - k0 + 1);
         sub.first_row = first_row + at;
         sub.treelets = treelets.subspan(group_begin[k0] - group_begin[0],
                                         group_begin[k1] - group_begin[k0]);
         return sub;
     }
-};
 
-/// Run one job serially: in-bucket sort, treelet builds, reorder into
-/// layout order, bitmaps and hashes. `config` carries the effective
-/// subprefix length; a bucket holds one treelet per distinct subprefix.
-void run_range(const RangeJob& job, const BatConfig& config, std::span<const BinEdges> edges,
-               BatBuildTimings* timings) {
-    auto accum = [timings](double BatBuildTimings::*field) -> double* {
-        return timings != nullptr ? &(timings->*field) : nullptr;
-    };
-    const std::size_t nb = job.num_buckets();
-    const std::uint32_t base = job.begin[0];
-    const std::size_t m = job.pairs.size();
-    if (m == 0) {
-        return;
+    /// The treelets of bucket k.
+    std::span<Treelet> bucket_treelets(std::size_t k) const {
+        return treelets.subspan(group_begin[k] - group_begin[0],
+                                group_begin[k + 1] - group_begin[k]);
     }
-    {
-        obs::PhaseSpan span("bat.sort", accum(&BatBuildTimings::sort));
-        std::size_t widest = 0;
-        for (std::size_t k = 0; k < nb; ++k) {
-            widest = std::max<std::size_t>(widest, job.begin[k + 1] - job.begin[k]);
-        }
-        std::vector<KeyIndex> tmp(widest);
-        for (std::size_t k = 0; k < nb; ++k) {
-            sort_bucket(job.pairs.data() + (job.begin[k] - base), tmp.data(),
-                        job.begin[k + 1] - job.begin[k]);
+    bool bucket_skipped(std::size_t k) const {
+        const std::span<Treelet> ts = bucket_treelets(k);
+        return std::all_of(ts.begin(), ts.end(), [](const Treelet& t) { return t.skipped; });
+    }
+
+    /// Stable in-bucket sort of bucket k (a no-op on a sorted bucket);
+    /// `tmp` is scratch.
+    void sort(std::size_t k, std::vector<KeyIndex>& tmp) const {
+        KeyIndex* a = pairs.data() + (begin[k] - begin[0]);
+        const std::size_t n = begin[k + 1] - begin[k];
+        const auto by_key = [](const KeyIndex& x, const KeyIndex& y) { return x.key < y.key; };
+        if (!std::is_sorted(a, a + n, by_key)) {
+            tmp.resize(std::max(tmp.size(), n));
+            sort_bucket(a, tmp.data(), n);
         }
     }
 
-    // Gather positions into Morton order as 16-byte {x, y, z, rank}
-    // records: every later access (treelet bounds, k-d medians, LOD swaps)
-    // then runs over contiguous memory. The builds permute the records in
-    // place; afterwards the record sequence is the layout order and
-    // recs[i].rank names the sorted pair it came from.
-    obs::PhaseSpan treelet_span("bat.treelets", accum(&BatBuildTimings::treelets));
-    std::vector<PosRecord> recs(m);
-    for (std::size_t i = 0; i < m; ++i) {
-        std::memcpy(recs[i].p, job.src.pos + 12 * std::size_t{job.pairs[i].index}, 12);
-        recs[i].rank = static_cast<std::uint32_t>(i);
-    }
-    BuildContext ctx{config, recs};
-    const int group_shift = kMortonBits - config.subprefix_bits;
-    std::size_t t = 0;
-    auto build_treelet = [&](std::uint32_t lo, std::uint32_t hi) {
-        Treelet& treelet = job.treelets[t];
-        treelet.first_particle = lo;  // job-relative until the job ends
-        treelet.num_particles = hi - lo;
-        treelet.bounds = range_bounds(ctx, lo, hi);
-        const std::uint64_t global_index = job.group_begin[0] + t;
-        TreeletBuilder builder{ctx, treelet, Pcg32(mix_seed(config.seed, global_index))};
-        builder.build(lo, hi, 0);
-        ++t;
-    };
-    for (std::size_t k = 0; k < nb; ++k) {
-        // Subprefixes longer than the bucket field split a sorted bucket.
-        const std::uint32_t lo = job.begin[k] - base;
-        const std::uint32_t hi = job.begin[k + 1] - base;
+    /// Split sorted bucket k into its treelets (subprefixes longer than the
+    /// bucket field split a bucket): sets their first_particle, row and
+    /// num_particles and calls fn(treelet, lo, hi) with job-relative pairs.
+    template <typename Fn>
+    void split(std::size_t k, int subprefix_bits, Fn&& fn) const {
+        const int group_shift = kMortonBits - subprefix_bits;
+        const std::span<Treelet> ts = bucket_treelets(k);
+        const std::uint32_t lo = begin[k] - begin[0];
+        const std::uint32_t hi = begin[k + 1] - begin[0];
+        std::size_t t = 0;
+        auto emit = [&](std::uint32_t a, std::uint32_t b) {
+            BAT_CHECK_MSG(t < ts.size(), "bucket " << k << " holds too many treelets");
+            Treelet& treelet = ts[t++];
+            treelet.first_particle = static_cast<std::uint32_t>(first_row + a);
+            treelet.row = work[k] + (a - lo);
+            treelet.num_particles = b - a;
+            fn(treelet, a, b);
+        };
         std::uint32_t start = lo;
         for (std::uint32_t i = lo + 1; i < hi; ++i) {
-            if ((job.pairs[i].key >> group_shift) != (job.pairs[i - 1].key >> group_shift)) {
-                build_treelet(start, i);
+            if ((pairs[i].key >> group_shift) != (pairs[i - 1].key >> group_shift)) {
+                emit(start, i);
                 start = i;
             }
         }
-        build_treelet(start, hi);
-        BAT_CHECK_MSG(t == job.group_begin[k + 1] - job.group_begin[0],
-                      "bucket " << k << " holds an unexpected number of treelets");
+        emit(start, hi);
+        BAT_CHECK_MSG(t == ts.size(), "bucket " << k << " holds too few treelets");
+    }
+
+    std::uint64_t global_index(const Treelet& t) const {
+        return group_begin[0] + static_cast<std::uint64_t>(&t - treelets.data());
+    }
+};
+
+double* accum_into(BatBuildTimings* timings, double BatBuildTimings::*field) {
+    return timings != nullptr ? &(timings->*field) : nullptr;
+}
+
+/// Run one job serially: in-bucket sort, treelet builds, reorder into
+/// layout order, bitmaps and (if the job is keyed) keys, over the treelets
+/// not skipped. `config` carries the effective subprefix length; a bucket
+/// holds one treelet per distinct subprefix.
+void run_range(const RangeJob& job, const BatConfig& config, std::span<const BinEdges> edges,
+               BatBuildTimings* timings) {
+    auto accum = [timings](double BatBuildTimings::*field) {
+        return accum_into(timings, field);
+    };
+    const std::size_t nb = job.num_buckets();
+    const std::size_t m = job.work[nb] - job.work[0];  // the job's output rows
+    if (m == 0) {
+        return;
+    }
+    std::vector<std::size_t> live;  // buckets with a treelet to build
+    for (std::size_t k = 0; k < nb; ++k) {
+        if (!job.bucket_skipped(k)) {
+            live.push_back(k);
+        }
+    }
+    {
+        obs::PhaseSpan span("bat.sort", accum(&BatBuildTimings::sort));
+        std::vector<KeyIndex> tmp;
+        for (const std::size_t k : live) {
+            job.sort(k, tmp);
+        }
+    }
+    // The treelets to build: job-relative pairs [lo, hi), which become the
+    // job's output rows from out = row - work[0] on.
+    struct Rows {
+        Treelet* treelet;
+        std::uint32_t lo;
+        std::uint32_t hi;
+        std::uint32_t out;
+    };
+    std::vector<Rows> todo;
+    for (const std::size_t k : live) {
+        job.split(k, config.subprefix_bits, [&](Treelet& t, std::uint32_t lo, std::uint32_t hi) {
+            if (!t.skipped) {
+                todo.push_back(Rows{&t, lo, hi, t.row - job.work[0]});
+            }
+        });
+    }
+
+    // Gather positions into Morton order as 16-byte {x, y, z, rank}
+    // records, one per output row: every later access (treelet bounds, k-d
+    // medians, LOD swaps) then runs over contiguous memory. The builds
+    // permute the records in place; afterwards the record sequence is the
+    // layout order and recs[i].rank names the sorted pair it came from.
+    obs::PhaseSpan treelet_span("bat.treelets", accum(&BatBuildTimings::treelets));
+    std::vector<PosRecord> recs(m);
+    for (const Rows& r : todo) {
+        for (std::uint32_t i = r.lo; i < r.hi; ++i) {
+            PosRecord& rec = recs[r.out + (i - r.lo)];
+            std::memcpy(rec.p, job.src.pos + 12 * std::size_t{job.pairs[i].index}, 12);
+            rec.rank = i;
+        }
+    }
+    BuildContext ctx{config, recs};
+    for (const Rows& r : todo) {
+        const std::uint32_t end = r.out + (r.hi - r.lo);
+        Treelet& treelet = *r.treelet;
+        treelet.bounds = range_bounds(ctx, r.out, end);
+        TreeletBuilder builder{ctx, treelet, r.out,
+                               Pcg32(mix_seed(config.seed, job.global_index(treelet)))};
+        builder.build(r.out, end, 0);
     }
     treelet_span.close();
 
+    const DstColumns out = job.dst.rows_from(job.work[0]);
     {
         // Positions come straight out of the permuted records; attributes
         // gather through the composed permutation src_row[i].
         obs::PhaseSpan span("bat.reorder", accum(&BatBuildTimings::reorder));
         std::vector<std::uint32_t> src_row(m);
-        for (std::size_t i = 0; i < m; ++i) {
-            src_row[i] = job.pairs[recs[i].rank].index;
-            std::memcpy(job.dst.pos + 12 * i, recs[i].p, 12);
+        for (const Rows& r : todo) {
+            for (std::uint32_t i = r.out; i < r.out + (r.hi - r.lo); ++i) {
+                src_row[i] = job.pairs[recs[i].rank].index;
+                std::memcpy(out.pos + 12 * std::size_t{i}, recs[i].p, 12);
+            }
         }
         for (std::size_t a = 0; a < job.src.attrs.size(); ++a) {
             const std::byte* from = job.src.attrs[a];
-            std::byte* to = job.dst.attrs[a];
-            for (std::size_t i = 0; i < m; ++i) {
-                std::memcpy(to + 8 * i, from + 8 * std::size_t{src_row[i]}, 8);
+            std::byte* to = out.attrs[a];
+            for (const Rows& r : todo) {
+                for (std::uint32_t i = r.out; i < r.out + (r.hi - r.lo); ++i) {
+                    std::memcpy(to + 8 * std::size_t{i}, from + 8 * std::size_t{src_row[i]}, 8);
+                }
             }
         }
     }
@@ -508,47 +615,57 @@ void run_range(const RangeJob& job, const BatConfig& config, std::span<const Bin
     obs::PhaseSpan span("bat.bitmaps", accum(&BatBuildTimings::bitmaps));
     const std::size_t nattrs = edges.size();
     std::vector<std::uint8_t> bins;
-    for (Treelet& treelet : job.treelets) {
-        const DstColumns rows = job.dst.rows_from(treelet.first_particle);
+    std::vector<std::uint64_t> in_order;
+    for (const Rows& r : todo) {
+        Treelet& treelet = *r.treelet;
+        const DstColumns rows = out.rows_from(r.out);
         treelet.bitmaps.assign(treelet.nodes.size() * nattrs, 0);
         for (std::size_t a = 0; a < nattrs; ++a) {
             compute_treelet_bitmaps(treelet, a, nattrs, rows.attrs[a], edges[a], bins);
         }
-        if (config.hash_treelets) {
-            treelet.hash = treelet_hash(treelet, rows);
+        if (job.keyed && treelet.key == 0) {  // not keyed by the constructor
+            // Hash the rows where the reorder left them, hot in cache, and
+            // put the hashes back in Morton order by the records' ranks.
+            const std::uint32_t n = r.hi - r.lo;
+            const std::vector<std::uint64_t> hashes = row_hashes(read_only(rows), n);
+            in_order.resize(n);
+            for (std::uint32_t k = 0; k < n; ++k) {
+                in_order[recs[r.out + k].rank - r.lo] = hashes[k];
+            }
+            treelet.key = treelet_key(n, [&](std::size_t i) { return in_order[i]; },
+                                      key_salt(config, job.global_index(treelet), n, nattrs));
         }
-        treelet.first_particle += static_cast<std::uint32_t>(job.first_row);
     }
 }
 
-/// Run a job over `pool`: cut into bucket groups of about equal particle
-/// counts, one task each (the bytes do not depend on the cut). The pooled
-/// wall time is split over the sort/treelets/reorder/bitmaps rows in
-/// proportion to the groups' summed time, so the rows still tile it.
-void run_job(const RangeJob& job, const BatConfig& config, std::span<const BinEdges> edges,
-             ThreadPool* pool, BatBuildTimings* timings) {
+/// Run fn(sub_job, timings) over `job`, on `pool` when there is one: cut
+/// into bucket groups of about equal weight (`weight_begin`: cumulative
+/// per-bucket weights, buckets + 1), one task each (the bytes do not depend
+/// on the cut). The pooled wall time is split over the sort/treelets/
+/// reorder/bitmaps rows in proportion to the groups' summed time, so the
+/// rows still tile it.
+template <typename Fn>
+void run_pooled(const RangeJob& job, std::span<const std::uint32_t> weight_begin,
+                ThreadPool* pool, BatBuildTimings* timings, Fn&& fn) {
     const std::size_t nb = job.num_buckets();
-    const std::size_t n = job.pairs.size();
     if (pool == nullptr || pool->num_threads() == 0 || nb < 2) {
-        run_range(job, config, edges, timings);
+        fn(job, timings);
         return;
     }
     const std::size_t ngroups = std::min(nb, 4 * (pool->num_threads() + 1));
-    const std::uint32_t base = job.begin[0];
+    const std::uint32_t base = weight_begin[0];
+    const std::size_t total = weight_begin[nb] - base;
     auto first = [&](std::size_t g) {  // first bucket starting at or after g's share
-        const std::size_t at = base + g * n / ngroups;
+        const std::size_t at = base + g * total / ngroups;
         return static_cast<std::size_t>(
-            std::partition_point(job.begin.begin(), job.begin.end() - 1,
+            std::partition_point(weight_begin.begin(), weight_begin.end() - 1,
                                  [&](std::uint32_t b) { return b < at; }) -
-            job.begin.begin());
+            weight_begin.begin());
     };
     std::vector<BatBuildTimings> parts(ngroups);
     const auto t0 = obs::trace_now_ns();
     pool->parallel_for(
-        0, ngroups,
-        [&](std::size_t g) {
-            run_range(job.slice(first(g), first(g + 1)), config, edges, &parts[g]);
-        },
+        0, ngroups, [&](std::size_t g) { fn(job.slice(first(g), first(g + 1)), &parts[g]); },
         1);
     if (timings == nullptr) {
         return;
@@ -568,12 +685,12 @@ void run_job(const RangeJob& job, const BatConfig& config, std::span<const BinEd
 
 // ---- job wire format ------------------------------------------------------
 // Job:    seed u64, lod_per_inner i32, max_leaf_size i32, subprefix_bits i32,
-//         hash_treelets u8, buckets u32, begin u32[buckets + 1] (from 0),
+//         keyed u8, buckets u32, begin u32[buckets + 1] (from 0),
 //         group_begin u32[buckets + 1] (global), attrs u32, per attribute
 //         kBitmapBins + 1 f64 edges, codes u64[n], then the particles in
 //         stable bucket order (ParticleSet wire format).
 // Result: two messages. Treelets: count u32, per treelet bounds,
-//         first_particle (job-relative), num_particles, max_depth, hash,
+//         first_particle (job-relative), num_particles, max_depth, key,
 //         nodes, bitmaps. Particles: the job's particles in layout order
 //         (ParticleSet wire format), written in place by the job.
 
@@ -582,7 +699,7 @@ void write_treelet(BufferWriter& w, const Treelet& t) {
     w.write(t.first_particle);
     w.write(t.num_particles);
     w.write(t.max_depth);
-    w.write(t.hash);
+    w.write(t.key);
     w.write(static_cast<std::uint32_t>(t.nodes.size()));
     w.write_span(std::span<const TreeletNode>(t.nodes));
     w.write(static_cast<std::uint32_t>(t.bitmaps.size()));
@@ -595,7 +712,7 @@ Treelet read_treelet(BufferReader& r) {
     t.first_particle = r.read<std::uint32_t>();
     t.num_particles = r.read<std::uint32_t>();
     t.max_depth = r.read<std::int32_t>();
-    t.hash = r.read<std::uint64_t>();
+    t.key = r.read<std::uint64_t>();
     const auto nodes = r.read<std::uint32_t>();
     BAT_CHECK_MSG(nodes <= r.remaining() / sizeof(TreeletNode), "treelet node count overruns");
     t.nodes.resize(nodes);
@@ -633,16 +750,65 @@ BatBuildTimings BatBuildTimings::max(const BatBuildTimings& a, const BatBuildTim
     return m;
 }
 
+/// The delta build's pre-pass over `job` (see BatBuild): sort and key each
+/// treelet that kept its point count (`prev`, by global treelet index), and
+/// skip the ones whose key matches too. A skipped treelet takes its bounds,
+/// depth, node count and root bitmaps from `prev`. Only the sort tells the
+/// counts of a bucket with several treelets, so those are always sorted.
+void skip_unchanged(const RangeJob& job, const BatConfig& config,
+                    std::span<const PreviousTreelet> prev, std::span<const std::uint64_t> row_hash,
+                    std::size_t nattrs, BatBuildTimings* timings) {
+    std::vector<std::size_t> kept;  // buckets that may hold an unchanged treelet
+    for (std::size_t k = 0; k < job.num_buckets(); ++k) {
+        const std::uint32_t t = job.group_begin[k];
+        if (job.group_begin[k + 1] - t > 1 ||
+            prev[t].num_points == job.begin[k + 1] - job.begin[k]) {
+            kept.push_back(k);
+        }
+    }
+    {
+        obs::PhaseSpan span("bat.sort", accum_into(timings, &BatBuildTimings::sort));
+        std::vector<KeyIndex> tmp;
+        for (const std::size_t k : kept) {
+            job.sort(k, tmp);
+        }
+    }
+    obs::PhaseSpan span("bat.bitmaps", accum_into(timings, &BatBuildTimings::bitmaps));
+    for (const std::size_t k : kept) {
+        job.split(k, config.subprefix_bits, [&](Treelet& t, std::uint32_t lo, std::uint32_t hi) {
+            const std::uint64_t index = job.global_index(t);
+            const PreviousTreelet& p = prev[index];
+            if (hi - lo != p.num_points) {
+                return;
+            }
+            t.key = treelet_key(
+                hi - lo, [&](std::size_t i) { return row_hash[job.pairs[lo + i].index]; },
+                key_salt(config, index, hi - lo, nattrs));
+            if (t.key == p.key) {
+                BAT_CHECK(p.bitmaps.size() >= nattrs);
+                t.skipped = true;
+                t.bounds = p.bounds;
+                t.max_depth = p.max_depth;
+                t.reused_nodes = p.num_nodes;
+                t.bitmaps.assign(p.bitmaps.begin(),
+                                 p.bitmaps.begin() + static_cast<std::ptrdiff_t>(nattrs));
+            }
+        });
+    }
+}
+
 struct BatBuild::State {
     const ParticleSet& src;
     ThreadPool* pool;
     BatBuildTimings* timings;
-    BatData bat;            // config (effective subprefix), ranges, edges, bounds
-    PrefixBuckets buckets;  // records in stable bucket order + offsets
+    const BuildHistory* history;       // delta builds only
+    BatData bat;                       // config (effective subprefix), ranges,
+                                       // edges, bounds
+    PrefixBuckets buckets;             // records in stable bucket order + offsets
+    std::vector<std::uint32_t> work;   // per bucket + 1: particles to build
+                                       // in the buckets before it
 
-    double* accum(double BatBuildTimings::*field) const {
-        return timings != nullptr ? &(timings->*field) : nullptr;
-    }
+    double* accum(double BatBuildTimings::*field) const { return accum_into(timings, field); }
 
     RangeJob job(std::size_t b0, std::size_t b1) {
         const std::span<const std::uint32_t> begin(buckets.begin);
@@ -651,18 +817,20 @@ struct BatBuild::State {
         job.pairs = std::span<KeyIndex>(buckets.pairs).subspan(begin[b0], begin[b1] - begin[b0]);
         job.begin = begin.subspan(b0, b1 - b0 + 1);
         job.group_begin = group_begin.subspan(b0, b1 - b0 + 1);
+        job.work = std::span<const std::uint32_t>(work).subspan(b0, b1 - b0 + 1);
         job.src = columns_of(src);
-        job.dst = columns_of(bat.particles).rows_from(begin[b0]);
+        job.dst = columns_of(bat.particles);
         job.first_row = begin[b0];
         job.treelets = std::span<Treelet>(bat.treelets)
                            .subspan(group_begin[b0], group_begin[b1] - group_begin[b0]);
+        job.keyed = history != nullptr;
         return job;
     }
 };
 
 BatBuild::BatBuild(const ParticleSet& particles, const BatConfig& config, ThreadPool* pool,
-                   BatBuildTimings* timings)
-    : s_(std::make_unique<State>(State{particles, pool, timings, {}, {}})) {
+                   BatBuildTimings* timings, const BuildHistory* history)
+    : s_(std::make_unique<State>(State{particles, pool, timings, history, {}, {}, {}})) {
     BAT_CHECK(config.subprefix_bits >= 1 && config.subprefix_bits <= 30);
     BAT_CHECK(config.lod_per_inner >= 1);
     BAT_CHECK(config.max_leaf_size >= 1);
@@ -698,6 +866,7 @@ BatBuild::BatBuild(const ParticleSet& particles, const BatConfig& config, Thread
     if (n == 0) {
         s_->buckets.begin = {0};
         s_->buckets.group_begin = {0};
+        s_->work = {0};
         return;
     }
 
@@ -740,7 +909,29 @@ BatBuild::BatBuild(const ParticleSet& particles, const BatConfig& config, Thread
         s_->buckets = prefix_buckets(codes, kMortonBits, subprefix_bits, pool);
     }
     bat.treelets.resize(s_->buckets.prefixes.size());
-    bat.particles.resize(n);
+
+    // ---- Skip unchanged treelets (delta builds) ---------------------------
+    s_->work = s_->buckets.begin;
+    if (history != nullptr && history->treelets.size() == bat.treelets.size() &&
+        history->attr_edges == bat.attr_edges) {
+        std::vector<std::uint64_t> row_hash;
+        {
+            obs::PhaseSpan span("bat.bitmaps", s_->accum(&BatBuildTimings::bitmaps));
+            row_hash = row_hashes(columns_of(particles), n);
+        }
+        run_pooled(s_->job(0, num_buckets()), s_->buckets.begin, pool, timings,
+                   [&](const RangeJob& job, BatBuildTimings* t) {
+                       skip_unchanged(job, bat.config, history->treelets, row_hash, nattrs, t);
+                   });
+        const RangeJob all = s_->job(0, num_buckets());
+        for (std::size_t b = 0; b < num_buckets(); ++b) {
+            const std::uint32_t size = s_->buckets.begin[b + 1] - s_->buckets.begin[b];
+            s_->work[b + 1] = s_->work[b] + (all.bucket_skipped(b) ? 0 : size);
+        }
+    }
+    // Rows only for the buckets still to build: a skipped bucket's rows are
+    // never allocated, let alone zero-filled.
+    bat.particles.resize(s_->work.back());
 }
 
 BatBuild::~BatBuild() = default;
@@ -748,6 +939,10 @@ BatBuild::~BatBuild() = default;
 std::size_t BatBuild::num_buckets() const { return s_->buckets.begin.size() - 1; }
 
 std::size_t BatBuild::bucket_begin(std::size_t b) const { return s_->buckets.begin[b]; }
+
+bool BatBuild::bucket_skipped(std::size_t b) const { return s_->work[b + 1] == s_->work[b]; }
+
+std::size_t BatBuild::work_begin(std::size_t b) const { return s_->work[b]; }
 
 std::vector<std::byte> BatBuild::pack_job(std::size_t b0, std::size_t b1) const {
     BAT_CHECK(b0 <= b1 && b1 <= num_buckets());
@@ -763,7 +958,7 @@ std::vector<std::byte> BatBuild::pack_job(std::size_t b0, std::size_t b1) const 
     w.write(std::int32_t{config.lod_per_inner});
     w.write(std::int32_t{config.max_leaf_size});
     w.write(std::int32_t{config.subprefix_bits});
-    w.write(static_cast<std::uint8_t>(config.hash_treelets ? 1 : 0));
+    w.write(static_cast<std::uint8_t>(s_->history != nullptr ? 1 : 0));
     w.write(static_cast<std::uint32_t>(b1 - b0));
     for (std::size_t b = b0; b <= b1; ++b) {
         w.write(begin[b] - begin[b0]);
@@ -814,27 +1009,39 @@ void BatBuild::run_local(std::size_t b0, std::size_t b1) {
     if (b0 == b1) {
         return;
     }
-    run_job(s_->job(b0, b1), s_->bat.config, s_->bat.attr_edges, s_->pool, s_->timings);
+    const BatData& bat = s_->bat;
+    run_pooled(s_->job(b0, b1), std::span<const std::uint32_t>(s_->work).subspan(b0, b1 - b0 + 1),
+               s_->pool, s_->timings, [&](const RangeJob& job, BatBuildTimings* t) {
+                   run_range(job, bat.config, bat.attr_edges, t);
+               });
 }
 
 void BatBuild::place_result(std::size_t b0, std::size_t b1, const TreeletJobResult& result) {
     BAT_CHECK(b0 <= b1 && b1 <= num_buckets());
     obs::PhaseSpan span("bat.reorder", s_->accum(&BatBuildTimings::reorder));
     const RangeJob job = s_->job(b0, b1);
+    BAT_CHECK_MSG(job.work.back() - job.work.front() == job.pairs.size(),
+                  "a job result cannot cover skipped buckets");
     BufferReader r(result.treelets);
     const auto count = r.read<std::uint32_t>();
     BAT_CHECK_MSG(count == job.treelets.size(),
                   "job result holds " << count << " treelets, " << job.treelets.size()
                                       << " expected");
     for (Treelet& treelet : job.treelets) {
-        treelet = read_treelet(r);
-        BAT_CHECK_MSG(std::size_t{treelet.first_particle} + treelet.num_particles <=
+        Treelet built = read_treelet(r);
+        BAT_CHECK_MSG(std::size_t{built.first_particle} + built.num_particles <=
                           job.pairs.size(),
                       "job result treelet outside its range");
-        treelet.first_particle += static_cast<std::uint32_t>(job.first_row);
+        // A bucket that holds several treelets ships whole: a skipped one
+        // among them stays skipped (the job built it the same).
+        if (!treelet.skipped) {
+            treelet = std::move(built);
+            treelet.row = job.work.front() + treelet.first_particle;
+            treelet.first_particle += static_cast<std::uint32_t>(job.first_row);
+        }
     }
     const std::size_t placed =
-        s_->bat.particles.deserialize_into(result.particles, job.first_row);
+        s_->bat.particles.deserialize_into(result.particles, job.work.front());
     BAT_CHECK_MSG(placed == job.pairs.size(), "job result holds " << placed << " particles, "
                                                                   << job.pairs.size()
                                                                   << " expected");
@@ -897,7 +1104,7 @@ BatData BatBuild::finish() {
         if (node.is_leaf()) {
             const Treelet& t = bat.treelets[static_cast<std::size_t>(node.treelet)];
             for (std::size_t a = 0; a < nattrs; ++a) {
-                bm[a] = t.nodes.empty() ? 0 : t.bitmaps[a];  // treelet root
+                bm[a] = t.bitmaps.empty() ? 0 : t.bitmaps[a];  // treelet root
             }
         } else {
             const std::size_t l = i + 1;
@@ -923,7 +1130,7 @@ TreeletJobResult run_treelet_job(std::vector<std::byte> job, ThreadPool* pool,
     config.lod_per_inner = r.read<std::int32_t>();
     config.max_leaf_size = r.read<std::int32_t>();
     config.subprefix_bits = r.read<std::int32_t>();
-    config.hash_treelets = r.read<std::uint8_t>() != 0;
+    const bool keyed = r.read<std::uint8_t>() != 0;
     BAT_CHECK_MSG(config.subprefix_bits >= 1 && config.subprefix_bits <= 30 &&
                       config.lod_per_inner >= 1 && config.max_leaf_size >= 1,
                   "treelet job with invalid build parameters");
@@ -958,18 +1165,27 @@ TreeletJobResult run_treelet_job(std::vector<std::byte> job, ThreadPool* pool,
     const SrcColumns src = wire_columns(std::span<const std::byte>(job), r, m, edges.size());
     const auto header_bytes = static_cast<std::size_t>(src.pos - (job.data() + set_at));
     TreeletJobResult result;
-    result.particles.resize(header_bytes + (12 + 8 * edges.size()) * std::size_t{m});
-    std::memcpy(result.particles.data(), job.data() + set_at, header_bytes);
+    {
+        // The reply is written in place by the job; sizing it zero-fills
+        // the message (a vector of bytes cannot grow uninitialized).
+        obs::PhaseSpan span("bat.reorder", accum_into(timings, &BatBuildTimings::reorder));
+        result.particles.resize(header_bytes + (12 + 8 * edges.size()) * std::size_t{m});
+        std::memcpy(result.particles.data(), job.data() + set_at, header_bytes);
+    }
     BufferReader out_reader(result.particles);
     std::vector<Treelet> treelets(group_begin.back() - group_begin.front());
     RangeJob range;
     range.pairs = pairs;
     range.begin = begin;
     range.group_begin = group_begin;
+    range.work = begin;
     range.src = src;
     range.dst = wire_columns(std::span<std::byte>(result.particles), out_reader, m, edges.size());
     range.treelets = treelets;
-    run_job(range, config, edges, pool, timings);
+    range.keyed = keyed;
+    run_pooled(range, begin, pool, timings, [&](const RangeJob& job, BatBuildTimings* t) {
+        run_range(job, config, edges, t);
+    });
 
     BufferWriter w;
     w.write(static_cast<std::uint32_t>(treelets.size()));

@@ -60,11 +60,6 @@ struct BatConfig {
     std::uint64_t seed = 0;
     /// Bitmap bin placement (see BinningScheme).
     BinningScheme binning = BinningScheme::equal_width;
-    /// When true, compute a per-treelet content hash (Treelet::hash) over
-    /// everything serialize_bat writes for the treelet. The incremental
-    /// series writer compares these against the previous step to detect
-    /// unchanged regions; standalone builds skip the pass.
-    bool hash_treelets = false;
 };
 
 /// Number of bins in every attribute bitmap. The paper restricts bitmaps to
@@ -132,18 +127,49 @@ static_assert(sizeof(ShallowNode) == 40);
 struct Treelet {
     Box bounds;                        // tight bounds of contained particles
     std::uint32_t first_particle = 0;  // offset into the BAT-wide order
+    /// First row in BatData::particles: first_particle, less the rows of
+    /// the buckets a delta build skipped before it.
+    std::uint32_t row = 0;
     std::uint32_t num_particles = 0;
     std::int32_t max_depth = 0;        // deepest node depth (root = 0)
     std::vector<TreeletNode> nodes;
     /// Per node, per attribute: the node's 32-bit binned bitmap
     /// (nodes.size() * num_attrs entries, node-major).
     std::vector<std::uint32_t> bitmaps;
-    /// Content hash (word-wise multiply-xorshift) over the treelet's
-    /// serialized payload: counts, depth, bounds, nodes, bitmaps,
-    /// positions, and attribute values. Only comparable against hashes
-    /// from the same build (never persisted). Zero unless
-    /// BatConfig::hash_treelets was set.
-    std::uint64_t hash = 0;
+    /// Key of the treelet's build input (delta builds only, else 0): its
+    /// rows in in-bucket Morton order, its global treelet index and the
+    /// build parameters. Everything the treelet's block holds except the
+    /// bitmaps is a function of these, so equal keys and point counts mean
+    /// equal nodes, bounds, depth and rows. Only comparable against keys
+    /// from the same code (never persisted).
+    std::uint64_t key = 0;
+    /// Set by a delta build when the key and point count equal the
+    /// previous step's (and the bin edges did not move): the treelet was
+    /// not built. Its layout rows are unwritten, `nodes` is empty and
+    /// `bitmaps` holds the root's only; bounds, max_depth and
+    /// `reused_nodes` (its node count) are the previous step's. Only a
+    /// delta reference can serialize it.
+    bool skipped = false;
+    std::uint32_t reused_nodes = 0;
+
+    std::size_t num_nodes() const { return skipped ? reused_nodes : nodes.size(); }
+};
+
+/// One treelet of a delta build's previous step: its key and the facts its
+/// directory entry and the shallow tree need when it is not built again.
+struct PreviousTreelet {
+    std::uint64_t key = 0;
+    std::uint32_t num_points = 0;
+    std::uint32_t num_nodes = 0;
+    std::int32_t max_depth = 0;
+    Box bounds;
+    std::vector<std::uint32_t> bitmaps;  // every node's, node-major
+};
+
+/// The previous step of a delta build of the same leaf.
+struct BuildHistory {
+    std::vector<BinEdges> attr_edges;
+    std::vector<PreviousTreelet> treelets;  // empty: nothing to skip
 };
 
 /// The complete in-memory BAT for one aggregator, ready for compaction to
@@ -153,7 +179,8 @@ struct BatData {
     Box bounds;
     /// Particles reordered into the on-disk layout order (treelet by
     /// treelet; within a treelet, each node's own points come first,
-    /// followed by the left then right subtrees).
+    /// followed by the left then right subtrees). A delta build holds rows
+    /// only for the buckets it built (see Treelet::row).
     ParticleSet particles;
     std::vector<ShallowNode> shallow_nodes;
     /// Per shallow node, per attribute (node-major), pre-dictionary.
@@ -167,6 +194,8 @@ struct BatData {
     std::vector<BinEdges> attr_edges;
 
     std::size_t num_attrs() const { return particles.num_attrs(); }
+    /// Points of all treelets (a delta build's `particles` may hold fewer).
+    std::size_t num_particles() const;
     /// Root (whole-aggregator) bitmap of attribute `a`, used to populate
     /// the top-level metadata (§III-D).
     std::uint32_t root_bitmap(std::size_t a) const;
@@ -180,7 +209,7 @@ struct BatBuildTimings {
     double sort = 0;      // subprefix bucket pass + in-bucket Morton sorts
     double treelets = 0;  // per-treelet k-d builds + shallow tree
     double reorder = 0;   // gather into layout order (+ job pack/place)
-    double bitmaps = 0;   // per-node attribute bitmaps (and treelet hashes)
+    double bitmaps = 0;   // per-node attribute bitmaps (and treelet keys)
     double wait = 0;      // aggregator blocked on helper ranks' job results
 
     BatBuildTimings& operator+=(const BatBuildTimings& o);
@@ -211,17 +240,25 @@ struct TreeletJobResult {
 /// subprefix buckets. Everything after it is a *treelet-range job* over a
 /// contiguous run of buckets: the in-bucket MSD sort, the k-d/LOD treelet
 /// builds (each seeded by its global treelet index), the reorder into
-/// layout order, and the per-treelet bitmaps and hashes. A job runs here
-/// (run_local) or on another rank: pack_job writes its input, and
-/// run_treelet_job there returns the bytes place_result takes back. Every
-/// bucket must be covered exactly once before finish(), which builds the
-/// shallow tree and its bitmaps. Any cut of the buckets gives the bytes of
-/// build_bat.
+/// layout order, and the per-treelet bitmaps. A job runs here (run_local)
+/// or on another rank: pack_job writes its input, and run_treelet_job
+/// there returns the bytes place_result takes back. Every bucket that
+/// needs building must be covered exactly once before finish(), which
+/// builds the shallow tree and its bitmaps. Any cut of the buckets gives
+/// the bytes of build_bat.
+///
+/// A delta build (given a BuildHistory) keys every treelet (Treelet::key).
+/// When the previous step had as many treelets and the same bin edges,
+/// the constructor sorts and keys each bucket whose treelets kept their
+/// point counts, and skips the treelets whose key also matches: they are
+/// never built, packed or placed, and a bucket whose treelets are all
+/// skipped needs no job (bucket_skipped) and gets no rows in
+/// BatData::particles. Jobs key the treelets the constructor did not.
 class BatBuild {
 public:
-    /// `particles` must outlive the build.
+    /// `particles` (and `history`, if given) must outlive the build.
     BatBuild(const ParticleSet& particles, const BatConfig& config, ThreadPool* pool = nullptr,
-             BatBuildTimings* timings = nullptr);
+             BatBuildTimings* timings = nullptr, const BuildHistory* history = nullptr);
     ~BatBuild();
     BatBuild(const BatBuild&) = delete;
     BatBuild& operator=(const BatBuild&) = delete;
@@ -231,14 +268,21 @@ public:
     /// Particles in buckets [0, b): bucket b spans [bucket_begin(b),
     /// bucket_begin(b + 1)) of the layout order.
     std::size_t bucket_begin(std::size_t b) const;
+    /// True when every treelet of bucket b was skipped (no job needs it).
+    bool bucket_skipped(std::size_t b) const;
+    /// Particles in the buckets [0, b) that need building.
+    std::size_t work_begin(std::size_t b) const;
 
     /// Job input for buckets [b0, b1): the particles in stable bucket order
-    /// with their Morton codes, bucket and treelet offsets, bin edges, the
-    /// build parameters and the first global treelet index.
+    /// (sorted, for the buckets the constructor keyed) with their Morton
+    /// codes, bucket and treelet offsets, bin edges, the build parameters,
+    /// whether to key the treelets, and the first global treelet index.
     std::vector<std::byte> pack_job(std::size_t b0, std::size_t b1) const;
-    /// Run the job over buckets [b0, b1) here, over bucket groups on the pool.
+    /// Run the job over buckets [b0, b1) here, over bucket groups on the
+    /// pool; skipped treelets stay unbuilt.
     void run_local(std::size_t b0, std::size_t b1);
-    /// Take back the run_treelet_job result of the job over buckets [b0, b1).
+    /// Take back the run_treelet_job result of the job over buckets [b0, b1)
+    /// (none of them skipped).
     void place_result(std::size_t b0, std::size_t b1, const TreeletJobResult& result);
     /// Shallow tree and its bitmaps over the finished treelets.
     BatData finish();
@@ -249,9 +293,10 @@ private:
 };
 
 /// Run a packed treelet-range job (BatBuild::pack_job) and return its
-/// result. The job's particles are read in place from `job`. `pool` runs
-/// bucket groups; seconds accumulate into the sort/treelets/reorder/bitmaps
-/// rows of `timings`.
+/// result, with every treelet keyed when the job asks for keys. The job's
+/// particles are read in place from `job`. `pool` runs bucket groups;
+/// seconds accumulate into the sort/treelets/reorder/bitmaps rows of
+/// `timings`.
 TreeletJobResult run_treelet_job(std::vector<std::byte> job, ThreadPool* pool = nullptr,
                                  BatBuildTimings* timings = nullptr);
 

@@ -123,7 +123,7 @@ BatLayout::BatLayout(const BatData& bat, const BatDeltaSpec* delta) {
     if (delta != nullptr && !delta->base_files.empty()) {
         header_.flags |= kBatFlagHasBases;
     }
-    header_.num_particles = bat.particles.count();
+    header_.num_particles = bat.num_particles();
     header_.num_attrs = static_cast<std::uint32_t>(nattrs);
     header_.subprefix_bits = static_cast<std::uint32_t>(bat.config.subprefix_bits);
     header_.lod_per_inner = static_cast<std::uint32_t>(bat.config.lod_per_inner);
@@ -151,6 +151,7 @@ BatLayout::BatLayout(const BatData& bat, const BatDeltaSpec* delta) {
             continue;
         }
         const Treelet& tr = bat.treelets[t];
+        BAT_CHECK_MSG(!tr.skipped, "treelet " << t << " was not built and has no delta reference");
         treelet_ids_[t].resize(tr.bitmaps.size());
         for (std::size_t i = 0; i < tr.bitmaps.size(); ++i) {
             treelet_ids_[t][i] = dict_.intern(tr.bitmaps[i]);
@@ -194,7 +195,7 @@ BatLayout::BatLayout(const BatData& bat, const BatDeltaSpec* delta) {
     for (std::size_t t = 0; t < num_treelets; ++t) {
         const Treelet& tr = bat.treelets[t];
         TreeletDirEntry& entry = dir_[t];
-        entry.num_nodes = static_cast<std::uint32_t>(tr.nodes.size());
+        entry.num_nodes = static_cast<std::uint32_t>(tr.num_nodes());
         entry.num_points = tr.num_particles;
         entry.bounds[0] = tr.bounds.lower.x;
         entry.bounds[1] = tr.bounds.lower.y;
@@ -227,11 +228,11 @@ BatLayout::BatLayout(const BatData& bat, const BatDeltaSpec* delta) {
         add_span(std::span<const TreeletNode>(tr.nodes));
         add_span(std::span<const std::uint16_t>(treelet_ids_[t]));
         align_to(4);
-        add_span(bat.particles.positions().subspan(3 * tr.first_particle,
-                                                   3 * tr.num_particles));
+        add_span(bat.particles.positions().subspan(3 * std::size_t{tr.row},
+                                                   3 * std::size_t{tr.num_particles}));
         align_to(8);
         for (std::size_t a = 0; a < nattrs; ++a) {
-            add_span(bat.particles.attr(a).subspan(tr.first_particle, tr.num_particles));
+            add_span(bat.particles.attr(a).subspan(tr.row, tr.num_particles));
         }
         BAT_CHECK(size_ - block_start ==
                   block_payload_bytes(tr.nodes.size(), tr.num_particles, nattrs));
@@ -243,7 +244,7 @@ BatLayout::BatLayout(const BatData& bat, const BatDeltaSpec* delta) {
 
 std::uint64_t treelet_block_bytes(const Treelet& treelet, std::size_t nattrs) {
     const std::uint64_t sz =
-        block_payload_bytes(treelet.nodes.size(), treelet.num_particles, nattrs);
+        block_payload_bytes(treelet.num_nodes(), treelet.num_particles, nattrs);
     return (sz + kTreeletAlignment - 1) & ~std::uint64_t{kTreeletAlignment - 1};
 }
 
@@ -268,7 +269,7 @@ std::uint64_t write_bat_file(const std::filesystem::path& path, const BatData& b
 BatSizeStats bat_size_stats(const BatData& bat, std::uint64_t file_bytes) {
     BatSizeStats stats;
     stats.file_bytes = file_bytes;
-    stats.raw_particle_bytes = bat.particles.count() * bat.particles.bytes_per_particle();
+    stats.raw_particle_bytes = bat.num_particles() * bat.particles.bytes_per_particle();
     return stats;
 }
 

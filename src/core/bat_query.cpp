@@ -340,11 +340,11 @@ BatTreeletView BatDataView::treelet(std::size_t t) const {
     view.nodes = tr.nodes;
     view.raw_bitmaps = tr.bitmaps;
     view.positions =
-        bat_->particles.positions().subspan(3 * tr.first_particle, 3 * tr.num_particles);
+        bat_->particles.positions().subspan(3 * tr.row, 3 * tr.num_particles);
     view.attrs.reserve(num_attrs());
     for (std::size_t a = 0; a < num_attrs(); ++a) {
         view.attrs.push_back(
-            bat_->particles.attr(a).subspan(tr.first_particle, tr.num_particles));
+            bat_->particles.attr(a).subspan(tr.row, tr.num_particles));
     }
     return view;
 }

@@ -110,13 +110,13 @@ struct Assignment {
     }
 };
 
-/// Carry-over of one leaf between steps: treelet content hashes plus the
+/// Carry-over of one leaf between steps: the previous build (bin edges,
+/// per treelet its key and the facts a skipped treelet reuses) plus the
 /// physical location (file name + treelet index) of every treelet's bytes.
 /// References are flattened — treelet_file[t] always names the file that
 /// physically holds the block, never an intermediate delta file.
 struct LeafDeltaState {
-    std::vector<std::uint64_t> hashes;        // per treelet, multiply-xorshift
-    std::vector<std::uint32_t> num_points;    // per treelet
+    BuildHistory history;
     std::vector<std::string> treelet_file;    // per treelet, physical holder
     std::vector<std::uint32_t> treelet_index; // per treelet, index in holder
     std::vector<int> ages;  // steps since the treelet was written inline
@@ -126,7 +126,6 @@ struct LeafDeltaState {
     std::string last_file;
     std::vector<std::string> last_file_bases;
     std::vector<std::pair<double, double>> attr_ranges;
-    std::vector<BinEdges> attr_edges;
     std::vector<ShallowNode> shallow_nodes;
     std::vector<std::uint32_t> shallow_bitmaps;
 };
@@ -235,6 +234,8 @@ constexpr std::size_t kJobParticles = 32768;
 /// never idles while the aggregator is busy between refills. Bounds the
 /// job and result bytes in flight.
 constexpr std::size_t kJobsInFlight = 3;
+/// History of a plan-carrying build with nothing to skip.
+const BuildHistory kNoHistory;
 
 /// Build the aggregation over `infos` and assign its aggregators:
 /// file-per-process writes from the owning rank itself, the others spread
@@ -430,7 +431,7 @@ Assignment plan_write(vmpi::Comm& comm, const ParticleSet& local, const Box& loc
         }
         if (state != nullptr) {
             // Replan: the leaf decomposition may have shifted, so the old
-            // per-leaf hashes describe regions that no longer line up —
+            // per-leaf keys describe regions that no longer line up —
             // drop them and let this step repopulate from its full writes.
             state->leaves.clear();
             state->agg = std::move(fresh_agg);
@@ -551,19 +552,21 @@ std::vector<LeafInput> transfer(vmpi::Comm& comm, const ParticleSet& local,
 /// the aggregator cuts its subprefix buckets by the plan's fractions right
 /// after the bucket pass, ships the first ranges to their helpers as
 /// treelet-range jobs, builds the rest itself and then takes the helpers'
-/// results back. Any cut gives the bytes of a local build.
+/// results back. Any cut gives the bytes of a local build. With a history
+/// (a plan is carried) the build keys every treelet and skips the ones
+/// unchanged since the previous step; the fractions then cut only the
+/// particles still to build, and skipped buckets join no job.
 BatData build_leaf(vmpi::Comm* comm, const ParticleSet& particles,
                    std::span<const std::pair<int, double>> help, const WriterConfig& config,
-                   bool hash_treelets, WriteResult& result) {
+                   const BuildHistory* history, WriteResult& result) {
     BAT_CHECK(help.empty() || comm != nullptr);
     obs::PhaseSpan span("write.bat_build", &result.timings.bat_build);
-    BatConfig bat_config = config.bat;
-    bat_config.hash_treelets = hash_treelets;
-    BatBuild build(particles, bat_config, config.pool, &result.timings.bat);
+    BatBuild build(particles, config.bat, config.pool, &result.timings.bat, history);
     const std::size_t nb = build.num_buckets();
-    const std::size_t n = build.bucket_begin(nb);
+    const std::size_t n = build.work_begin(nb);
     // cut[j]..cut[j+1] is helper j's bucket range; the aggregator keeps the
-    // rest. Each cut is the bucket boundary nearest the cumulative fraction.
+    // rest. Each cut is the bucket boundary nearest the cumulative fraction
+    // of the particles to build.
     std::vector<std::size_t> cut{0};
     double share = 0.0;
     for (const auto& [helper, fraction] : help) {
@@ -571,21 +574,26 @@ BatData build_leaf(vmpi::Comm* comm, const ParticleSet& particles,
         const auto want = static_cast<std::size_t>(std::llround(std::min(share, 1.0) *
                                                                 static_cast<double>(n)));
         std::size_t b = cut.back();
-        while (b < nb && build.bucket_begin(b + 1) <= want) {
+        while (b < nb && build.work_begin(b + 1) <= want) {
             ++b;
         }
-        if (b < nb && want > build.bucket_begin(b) &&
-            want - build.bucket_begin(b) > build.bucket_begin(b + 1) - want) {
+        if (b < nb && want > build.work_begin(b) &&
+            want - build.work_begin(b) > build.work_begin(b + 1) - want) {
             ++b;  // the next boundary is nearer
         }
         cut.push_back(b);
     }
-    // Bucket ranges of at most kJobParticles (a bigger bucket stands alone).
+    // Runs of buckets to build, each of at most kJobParticles (a bigger
+    // bucket stands alone); skipped buckets end a run and join none.
     auto slices = [&](std::size_t b0, std::size_t b_end) {
         std::vector<std::pair<std::size_t, std::size_t>> out;
         while (b0 < b_end) {
+            if (build.bucket_skipped(b0)) {
+                ++b0;
+                continue;
+            }
             std::size_t b1 = b0 + 1;
-            while (b1 < b_end &&
+            while (b1 < b_end && !build.bucket_skipped(b1) &&
                    build.bucket_begin(b1 + 1) - build.bucket_begin(b0) <= kJobParticles) {
                 ++b1;
             }
@@ -702,17 +710,19 @@ void serve_jobs(vmpi::Comm& comm, const Assignment& assignment, const WriterConf
 }
 
 /// (d) Write one leaf's BAT file and return its metadata report. With a
-/// plan (`state`), the BAT was built with treelet hashes; treelets whose
-/// hash, point count and physical location carry over from the previous
-/// step are written as references into the prior step's file. A leaf whose
-/// treelets are ALL clean (and whose attr table + shallow tree match) skips
-/// its file entirely — the metadata points at the prior file.
+/// plan (`state`), the BAT was built with treelet keys; a treelet is clean
+/// when the build skipped it, or when its key, point count and bitmaps
+/// equal the previous step's (a treelet whose bin edges moved is built
+/// again, but its bitmaps may still match). Clean treelets are written as
+/// references into the file that holds their bytes. A leaf whose treelets
+/// are ALL clean (and whose attr table + shallow tree match) skips its
+/// file entirely — the metadata points at the prior file.
 LeafReport write_leaf(int leaf_id, const BatData& bat, const WriterConfig& config,
                       io_detail::WritePlanState* state, WriteResult& result) {
     const std::size_t nattrs = bat.num_attrs();
     LeafReport report;
     report.leaf_id = leaf_id;
-    report.num_particles = bat.particles.count();
+    report.num_particles = bat.num_particles();
     report.ranges = bat.attr_ranges;
     report.edges = bat.attr_edges;
     report.root_bitmaps.resize(nattrs);
@@ -730,8 +740,9 @@ LeafReport write_leaf(int leaf_id, const BatData& bat, const WriterConfig& confi
     auto& metrics = obs::MetricsRegistry::global();
     io_detail::LeafDeltaState& st = state->leaves[leaf_id];
     const std::size_t num_treelets = bat.treelets.size();
+    std::vector<PreviousTreelet>& prev = st.history.treelets;
     const bool can_delta = !config.delta.force_keyframe && !st.last_file.empty() &&
-                           st.hashes.size() == num_treelets;
+                           prev.size() == num_treelets;
     BatDeltaSpec spec;
     spec.refs.resize(num_treelets);
     std::map<std::string, std::int32_t> base_ids;
@@ -740,8 +751,9 @@ LeafReport write_leaf(int leaf_id, const BatData& bat, const WriterConfig& confi
     int max_age = 0;
     for (std::size_t t = 0; t < num_treelets; ++t) {
         const Treelet& tr = bat.treelets[t];
-        if (can_delta && st.hashes[t] == tr.hash && st.num_points[t] == tr.num_particles &&
-            !st.treelet_file[t].empty()) {
+        if (can_delta && (tr.skipped || (prev[t].key == tr.key &&
+                                         prev[t].num_points == tr.num_particles &&
+                                         prev[t].bitmaps == tr.bitmaps))) {
             const auto [it, inserted] = base_ids.emplace(
                 st.treelet_file[t], static_cast<std::int32_t>(spec.base_files.size()));
             if (inserted) {
@@ -755,7 +767,7 @@ LeafReport write_leaf(int leaf_id, const BatData& bat, const WriterConfig& confi
 
     const bool all_clean =
         can_delta && clean == num_treelets && st.attr_ranges == bat.attr_ranges &&
-        st.attr_edges == bat.attr_edges && st.shallow_bitmaps == bat.shallow_bitmaps &&
+        st.history.attr_edges == bat.attr_edges && st.shallow_bitmaps == bat.shallow_bitmaps &&
         st.shallow_nodes.size() == bat.shallow_nodes.size() &&
         (st.shallow_nodes.empty() ||
          std::memcmp(st.shallow_nodes.data(), bat.shallow_nodes.data(),
@@ -774,15 +786,17 @@ LeafReport write_leaf(int leaf_id, const BatData& bat, const WriterConfig& confi
         result.bytes_written += write_bat_file(config.directory / own_file, bat,
                                                clean > 0 ? &spec : nullptr);
 
-        st.hashes.resize(num_treelets);
-        st.num_points.resize(num_treelets);
+        prev.resize(num_treelets);
         st.treelet_file.resize(num_treelets);
         st.treelet_index.resize(num_treelets);
         st.ages.resize(num_treelets, 0);
         for (std::size_t t = 0; t < num_treelets; ++t) {
             const Treelet& tr = bat.treelets[t];
-            st.hashes[t] = tr.hash;
-            st.num_points[t] = tr.num_particles;
+            if (!tr.skipped) {
+                prev[t] = PreviousTreelet{tr.key, tr.num_particles,
+                                          static_cast<std::uint32_t>(tr.nodes.size()),
+                                          tr.max_depth, tr.bounds, tr.bitmaps};
+            }
             if (spec.refs[t].base_file >= 0) {
                 max_age = std::max(max_age, ++st.ages[t]);
             } else {
@@ -794,7 +808,7 @@ LeafReport write_leaf(int leaf_id, const BatData& bat, const WriterConfig& confi
         st.last_file = own_file;
         st.last_file_bases = spec.base_files;
         st.attr_ranges = bat.attr_ranges;
-        st.attr_edges = bat.attr_edges;
+        st.history.attr_edges = bat.attr_edges;
         st.shallow_nodes = bat.shallow_nodes;
         st.shallow_bitmaps = bat.shallow_bitmaps;
         report.delta_bases = spec.base_files;
@@ -858,8 +872,17 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
     std::filesystem::create_directories(config.directory);
     for (std::size_t d = 0; d < leaves.size(); ++d) {
         const LeafDuty& duty = assignment.duties[d];
+        // A plan keys every treelet; a delta step also skips the unchanged
+        // ones (a keyframe rewrites them all, and a leaf's first step has
+        // nothing to compare against).
+        const BuildHistory* history = nullptr;
+        if (state != nullptr) {
+            const io_detail::LeafDeltaState& st = state->leaves[duty.leaf_id];
+            history = config.delta.force_keyframe || st.last_file.empty() ? &kNoHistory
+                                                                          : &st.history;
+        }
         const BatData bat = build_leaf(&comm, leaves[d].particles(local), duty.help, config,
-                                       state != nullptr, result);
+                                       history, result);
         leaves[d] = LeafInput{};  // the merged copy is no longer needed
         my_reports.push_back(write_leaf(duty.leaf_id, bat, config, state, result));
     }
@@ -953,7 +976,7 @@ WriteResult write_particles_serial(std::span<const ParticleSet> per_rank,
         for (int r : leaf.ranks) {
             merged.append(per_rank[static_cast<std::size_t>(r)]);
         }
-        const BatData bat = build_leaf(nullptr, merged, {}, config, false, result);
+        const BatData bat = build_leaf(nullptr, merged, {}, config, nullptr, result);
         reports.push_back(write_leaf(static_cast<int>(leaf_id), bat, config, nullptr, result));
     }
     result.metadata_path = metadata_path(config);

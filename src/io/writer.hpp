@@ -44,8 +44,8 @@ struct DeltaWriteConfig {
     /// BAT files, bounding how far back a delta chain can reach. Enforced
     /// by SeriesWriter via force_keyframe.
     int keyframe_interval = 8;
-    /// When set, this step writes full files regardless of hash matches
-    /// (delta detection still runs so the next step has fresh hashes).
+    /// When set, this step writes full files regardless of key matches
+    /// (treelets are still keyed so the next step has fresh keys).
     bool force_keyframe = false;
 };
 
@@ -121,9 +121,9 @@ WriteResult write_particles(vmpi::Comm& comm, const ParticleSet& local,
                             WritePlan* plan);
 
 /// Per-rank carry-over state of an incremental write series: the previous
-/// step's rank info, aggregator assignment, and per-leaf treelet content
-/// hashes + physical treelet locations. Opaque; create one per rank and
-/// pass it to every step's write_particles.
+/// step's rank info, aggregator assignment, and per-leaf build history
+/// (treelet keys) + physical treelet locations. Opaque; create one per
+/// rank and pass it to every step's write_particles.
 class WritePlan {
 public:
     WritePlan();

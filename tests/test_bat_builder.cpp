@@ -236,11 +236,15 @@ TEST(BatBuilderTest, PoolBuildByteIdenticalToSerial) {
 /// bucket boundary (every treelet boundary when the subprefix fits the
 /// bucket field): even buckets run through the remote job path (pack,
 /// run_treelet_job, place_result), odd ones locally, plus an empty job.
+/// Buckets the build skipped join no job.
 BatData build_cut_at_every_bucket(const ParticleSet& particles, const BatConfig& config,
-                                  ThreadPool* pool) {
-    BatBuild build(particles, config, pool);
+                                  ThreadPool* pool, const BuildHistory* history = nullptr) {
+    BatBuild build(particles, config, pool, nullptr, history);
     build.place_result(0, 0, run_treelet_job(build.pack_job(0, 0), pool));
     for (std::size_t b = 0; b < build.num_buckets(); ++b) {
+        if (build.bucket_skipped(b)) {
+            continue;
+        }
         if (b % 2 == 0) {
             build.place_result(b, b + 1, run_treelet_job(build.pack_job(b, b + 1), pool));
         } else {
@@ -250,43 +254,69 @@ BatData build_cut_at_every_bucket(const ParticleSet& particles, const BatConfig&
     return build.finish();
 }
 
-std::vector<std::uint64_t> treelet_hashes(const BatData& bat) {
-    std::vector<std::uint64_t> hashes;
+/// A BatBuild run locally in one piece (build_bat, plus the history).
+BatData build_whole(const ParticleSet& particles, const BatConfig& config, ThreadPool* pool,
+                    const BuildHistory* history) {
+    BatBuild build(particles, config, pool, nullptr, history);
+    build.run_local(0, build.num_buckets());
+    return build.finish();
+}
+
+std::vector<std::uint64_t> treelet_keys(const BatData& bat) {
+    std::vector<std::uint64_t> keys;
     for (const Treelet& t : bat.treelets) {
-        hashes.push_back(t.hash);
+        keys.push_back(t.key);
     }
-    return hashes;
+    return keys;
+}
+
+/// What the next delta build of `bat` skips against.
+BuildHistory history_of(const BatData& bat) {
+    BuildHistory history;
+    history.attr_edges = bat.attr_edges;
+    for (const Treelet& t : bat.treelets) {
+        history.treelets.push_back(PreviousTreelet{t.key, t.num_particles,
+                                                   static_cast<std::uint32_t>(t.nodes.size()),
+                                                   t.max_depth, t.bounds, t.bitmaps});
+    }
+    return history;
 }
 
 TEST(BatBuilderTest, BuildEqualsBuildCutAtEveryTreeletBoundary) {
     // A treelet range is built the same wherever it runs: the global
     // treelet index seeds its LOD sampling, and the bucket pass fixes its
-    // particles and its place in the layout before any job starts.
+    // particles and its place in the layout before any job starts. Keys
+    // (asked for by a history) are equal wherever they are computed.
     const auto blobs = make_random_blobs(kUnit, 6, 5);
     const ParticleSet set = make_mixture_particles(kUnit, blobs, 20'000, 3, 17);
     ThreadPool pool(3);
+    const BuildHistory empty;
     for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-        for (const bool hash : {false, true}) {
+        for (const BuildHistory* history : {static_cast<const BuildHistory*>(nullptr), &empty}) {
             for (const BinningScheme binning :
                  {BinningScheme::equal_width, BinningScheme::equal_depth}) {
                 for (const int fixed_bits : {0, 15}) {  // 0: auto subprefix
                     BatConfig config;
                     config.seed = 99;
-                    config.hash_treelets = hash;
                     config.binning = binning;
                     if (fixed_bits > 0) {
                         config.auto_subprefix = false;
                         config.subprefix_bits = fixed_bits;
                     }
                     SCOPED_TRACE(::testing::Message()
-                                 << (p != nullptr ? "pooled" : "serial") << " hash=" << hash
+                                 << (p != nullptr ? "pooled" : "serial")
+                                 << " keyed=" << (history != nullptr)
                                  << " binning=" << static_cast<int>(binning)
                                  << " bits=" << fixed_bits);
-                    const BatData whole = build_bat(set, config, p);
-                    const BatData cut = build_cut_at_every_bucket(set, config, p);
+                    const BatData whole = build_whole(set, config, p, history);
+                    const BatData cut = build_cut_at_every_bucket(set, config, p, history);
                     EXPECT_GT(whole.treelets.size(), 4u);
+                    EXPECT_EQ(serialize_bat(whole), serialize_bat(build_bat(set, config, p)));
                     EXPECT_EQ(serialize_bat(whole), serialize_bat(cut));
-                    EXPECT_EQ(treelet_hashes(whole), treelet_hashes(cut));
+                    EXPECT_EQ(treelet_keys(whole), treelet_keys(cut));
+                    const std::vector<std::uint64_t> keys = treelet_keys(whole);
+                    EXPECT_EQ(std::count(keys.begin(), keys.end(), 0u),
+                              history != nullptr ? 0 : static_cast<long>(keys.size()));
                     if (fixed_bits == 15) {
                         BatBuild probe(set, config, p);
                         EXPECT_LT(probe.num_buckets(), whole.treelets.size())
@@ -294,6 +324,73 @@ TEST(BatBuilderTest, BuildEqualsBuildCutAtEveryTreeletBoundary) {
                     }
                 }
             }
+        }
+    }
+}
+
+TEST(BatBuilderTest, SkippedTreeletsReferenceLikeTheirFreshBuild) {
+    // Step 1 trades attribute values between the particles of one corner
+    // (the treelets and bin edges stay): a delta build against step 0 skips
+    // exactly the treelets whose key stays, and with those written by
+    // reference its bytes equal a fresh keyed build's.
+    const auto blobs = make_random_blobs(kUnit, 6, 5);
+    const ParticleSet step0 = make_mixture_particles(kUnit, blobs, 20'000, 3, 17);
+    ParticleSet step1 = step0;
+    std::size_t prior = step1.count();
+    for (std::size_t i = 0; i < step1.count(); ++i) {
+        const Vec3 p = step1.position(i);
+        if (p.x < 0.3f && p.y < 0.3f) {
+            if (prior < i) {
+                std::swap(step1.attr_mut(1)[prior], step1.attr_mut(1)[i]);
+            }
+            prior = i;
+        }
+    }
+    ThreadPool pool(3);
+    const BuildHistory empty;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        for (const int fixed_bits : {0, 15}) {
+            BatConfig config;
+            config.seed = 7;
+            if (fixed_bits > 0) {
+                config.auto_subprefix = false;
+                config.subprefix_bits = fixed_bits;
+            }
+            SCOPED_TRACE(::testing::Message() << (p != nullptr ? "pooled" : "serial")
+                                              << " bits=" << fixed_bits);
+            const BuildHistory history = history_of(build_whole(step0, config, p, &empty));
+            const BatData fresh = build_whole(step1, config, p, &empty);
+            ASSERT_EQ(fresh.treelets.size(), history.treelets.size());
+            for (const bool cut : {false, true}) {
+                SCOPED_TRACE(cut ? "cut" : "whole");
+                const BatData delta = cut ? build_cut_at_every_bucket(step1, config, p, &history)
+                                          : build_whole(step1, config, p, &history);
+                EXPECT_EQ(treelet_keys(delta), treelet_keys(fresh));
+                BatDeltaSpec spec;
+                spec.base_files = {"step0.bat"};
+                spec.refs.resize(fresh.treelets.size());
+                std::size_t skipped = 0;
+                for (std::size_t t = 0; t < fresh.treelets.size(); ++t) {
+                    const bool same = fresh.treelets[t].key == history.treelets[t].key;
+                    EXPECT_EQ(delta.treelets[t].skipped, same) << "treelet " << t;
+                    if (same) {
+                        spec.refs[t] = DeltaRef{0, static_cast<std::uint32_t>(t)};
+                        ++skipped;
+                    }
+                }
+                EXPECT_GT(skipped, 0u);
+                EXPECT_LT(skipped, fresh.treelets.size());
+                EXPECT_EQ(serialize_bat(delta, &spec), serialize_bat(fresh, &spec));
+                // A skipped treelet has no bytes to write inline.
+                EXPECT_THROW(serialize_bat(delta), Error);
+            }
+            // Moved bin edges may move any bitmap: nothing is skipped.
+            ParticleSet wider = step1;
+            wider.attr_mut(0)[0] = wider.attr_range(0).second + 1.0;
+            const BatData rebinned = build_whole(wider, config, p, &history);
+            EXPECT_TRUE(std::none_of(rebinned.treelets.begin(), rebinned.treelets.end(),
+                                     [](const Treelet& t) { return t.skipped; }));
+            EXPECT_EQ(serialize_bat(rebinned), serialize_bat(build_whole(wider, config, p, &empty)));
         }
     }
 }

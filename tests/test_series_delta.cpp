@@ -2,14 +2,17 @@
 // delta chains versus full rewrites on every timestep — via Dataset, the
 // collective read_particles, DataService query rounds, and the
 // LeafFileCache — plus non-vacuity of the delta path (plan reuse, clean
-// treelets, keyframes), drift-forced replans, and reused plans whose
-// per-rank counts drifted under the replan threshold.
+// treelets, keyframes), drift-forced replans, reused plans whose per-rank
+// counts drifted under the replan threshold, and exactness oracles for the
+// treelets a delta build skips (no false clean, no missed clean, ties).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <mutex>
 
 #include "core/bat_file.hpp"
@@ -22,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 #include "workloads/boiler.hpp"
+#include "workloads/dambreak.hpp"
 #include "workloads/decomposition.hpp"
 #include "workloads/uniform.hpp"
 
@@ -307,7 +311,7 @@ TEST(SeriesDeltaTest, DriftForcesReplanAndStaysCorrect) {
     });
     for (int r = 0; r < kRanks; ++r) {
         EXPECT_FALSE(step1[static_cast<std::size_t>(r)].reused_plan);
-        // A replan drops the per-leaf hashes, so nothing is written by
+        // A replan drops the per-leaf keys, so nothing is written by
         // reference either.
         EXPECT_EQ(step1[static_cast<std::size_t>(r)].delta_treelets_clean, 0u);
     }
@@ -520,6 +524,327 @@ TEST(SeriesDeltaTest, BytesSavedCounterEqualsCleanTreeletBlocks) {
     }
     EXPECT_EQ(clean, step1.delta_treelets_clean);
     EXPECT_EQ(step1.delta_bytes_saved, expected);
+}
+
+// ---- exactness of skipped treelets ---------------------------------------
+// A delta build skips a treelet whose build input is unchanged, so its
+// reference must point at bytes equal to a fresh build's (no false clean),
+// and no treelet it writes inline may equal the previous step's (no missed
+// clean). Bitmap IDs index each file's own dictionary, so treelets are
+// compared with their bitmaps resolved.
+
+/// Everything one treelet's block holds, bitmaps resolved.
+struct TreeletContent {
+    std::string nodes;  // TreeletNode bytes
+    std::vector<std::uint32_t> bitmaps;
+    std::vector<float> positions;
+    std::vector<double> attrs;
+
+    bool operator==(const TreeletContent&) const = default;
+};
+
+TreeletContent content_of(const BatFile& file, std::size_t t) {
+    const BatFile::TreeletView view = file.treelet(t);
+    TreeletContent c;
+    c.nodes.assign(reinterpret_cast<const char*>(view.nodes.data()), view.nodes.size_bytes());
+    for (std::size_t node = 0; node < view.nodes.size(); ++node) {
+        for (std::size_t a = 0; a < file.num_attrs(); ++a) {
+            c.bitmaps.push_back(file.treelet_bitmap(view, node, a));
+        }
+    }
+    c.positions.assign(view.positions.begin(), view.positions.end());
+    for (const std::span<const double> attr : view.attrs) {
+        c.attrs.insert(c.attrs.end(), attr.begin(), attr.end());
+    }
+    return c;
+}
+
+/// The directory of a BAT file with the storage fields (offset, base
+/// reference) cleared: what every file holding the same treelets agrees on.
+std::vector<TreeletDirEntry> directory_facts(const std::filesystem::path& path) {
+    const std::vector<std::byte> bytes = read_file(path);
+    FileHeader header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    std::vector<TreeletDirEntry> dir(header.num_treelets);
+    std::memcpy(dir.data(), bytes.data() + header.treelet_dir_offset,
+                dir.size() * sizeof(TreeletDirEntry));
+    for (TreeletDirEntry& entry : dir) {
+        entry.offset = 0;
+        entry.base_file = -1;
+        entry.base_treelet = 0;
+    }
+    return dir;
+}
+
+bool same_facts(const TreeletDirEntry& a, const TreeletDirEntry& b) {
+    return std::memcmp(&a, &b, sizeof(TreeletDirEntry)) == 0;
+}
+
+/// A series written twice over the same steps: through SeriesWriter (delta
+/// steps, keyframes every `keyframe_interval`) and as planless full
+/// rewrites, each leaf of which is a fresh build of that step.
+struct SeriesPair {
+    testing::TempDir dir;
+    std::vector<std::filesystem::path> delta_meta;  // per step
+    std::vector<std::filesystem::path> full_meta;
+    std::vector<std::vector<WriteResult>> results;  // [step][rank] (delta)
+    std::vector<std::uint64_t> help_jobs;           // per delta step
+};
+
+std::unique_ptr<SeriesPair> write_series_pair(
+    const std::vector<std::vector<ParticleSet>>& steps, const std::vector<Box>& boxes,
+    WriterConfig config) {
+    auto pair = std::make_unique<SeriesPair>();
+    const std::size_t nsteps = steps.size();
+    const int nranks = static_cast<int>(boxes.size());
+    config.directory = pair->dir.path();
+    config.basename = "delta";
+    pair->delta_meta.resize(nsteps);
+    pair->full_meta.resize(nsteps);
+    pair->help_jobs.resize(nsteps);
+    pair->results.assign(nsteps, std::vector<WriteResult>(static_cast<std::size_t>(nranks)));
+    auto& jobs = obs::MetricsRegistry::global().counter("write.help_jobs");
+    std::mutex mutex;
+    vmpi::Runtime::run(nranks, [&](vmpi::Comm& comm) {
+        const auto r = static_cast<std::size_t>(comm.rank());
+        SeriesWriter writer(config);
+        for (std::size_t s = 0; s < nsteps; ++s) {
+            comm.barrier();
+            const std::uint64_t jobs_before = jobs.value();
+            const WriteResult wr = writer.write_timestep(comm, static_cast<int>(s), steps[s][r],
+                                                         boxes[r]);
+            comm.barrier();
+            if (r == 0) {
+                pair->help_jobs[s] = jobs.value() - jobs_before;
+            }
+            WriterConfig full = config;
+            full.basename = "full_t" + std::to_string(s);
+            const WriteResult fw = write_particles(comm, steps[s][r], boxes[r], full);
+            std::lock_guard<std::mutex> lock(mutex);
+            pair->results[s][r] = wr;
+            pair->delta_meta[s] = wr.metadata_path;
+            pair->full_meta[s] = fw.metadata_path;
+        }
+    });
+    return pair;
+}
+
+/// Step `s` of a slowly evolving series: the particles of a hot box around
+/// the center of the bounds jittered (clamped to the box), and the lowest
+/// particle lowered a little per step, so the leaf holding it sees its
+/// lower z bound move while most of its treelets keep their bytes. From
+/// step 2 on, one particle raises the top of attribute 0's range a hair:
+/// its leaf's bin edges move at step 2, yet most bitmaps keep their bins.
+ParticleSet evolving_step(const ParticleSet& base, int s) {
+    ParticleSet global = base;
+    const Box bounds = base.bounds();
+    const Vec3 c = bounds.center();
+    Box hot;
+    for (int a = 0; a < 3; ++a) {
+        const float half = 0.1f * (bounds.upper[a] - bounds.lower[a]);
+        hot.lower[a] = c[a] - half;
+        hot.upper[a] = c[a] + half;
+    }
+    std::size_t lowest = 0;
+    for (std::size_t i = 0; i < global.count() && s > 0; ++i) {
+        Vec3 p = global.position(i);
+        if (p.z < global.position(lowest).z) {
+            lowest = i;
+        }
+        if (!hot.contains(p)) {
+            continue;
+        }
+        std::uint64_t h = splitmix64(static_cast<std::uint64_t>(s) << 32 | i);
+        for (int a = 0; a < 3; ++a) {
+            h = splitmix64(h);
+            const float u = 2.0f * static_cast<float>(h >> 40) / static_cast<float>(1u << 24) - 1.0f;
+            p[a] = std::clamp(p[a] + 0.04f * (hot.upper[a] - hot.lower[a]) * u, hot.lower[a],
+                              hot.upper[a]);
+        }
+        global.set_position(i, p);
+    }
+    Vec3 p = global.position(lowest);
+    p.z -= static_cast<float>(s) * 1e-5f * (bounds.upper.z - bounds.lower.z);
+    global.set_position(lowest, p);
+    if (s >= 2) {
+        const auto [lo, hi] = base.attr_range(0);
+        global.attr_mut(0)[0] = hi + 1e-6 * (hi - lo);
+    }
+    return global;
+}
+
+/// The oracles over every step and leaf of `pair` (keyframes
+/// `keyframe_interval` apart), plus bit-exact reads of every step.
+void expect_exact_deltas(const SeriesPair& pair, int keyframe_interval) {
+    const std::filesystem::path dir = pair.dir.path();
+    std::size_t refs = 0;
+    std::size_t inline_compared = 0;
+    std::size_t moved_bounds = 0;  // steps whose leaf moved and kept treelets
+    std::size_t moved_edges = 0;
+    for (std::size_t s = 0; s < pair.delta_meta.size(); ++s) {
+        SCOPED_TRACE("step " + std::to_string(s));
+        const Metadata delta = Metadata::load(pair.delta_meta[s]);
+        const Metadata full = Metadata::load(pair.full_meta[s]);
+        EXPECT_EQ(pair.results[s][0].reused_plan, s > 0);
+        expect_bit_exact(Dataset(pair.delta_meta[s]).collect(BatQuery{}),
+                         Dataset(pair.full_meta[s]).collect(BatQuery{}));
+        ASSERT_EQ(delta.leaves.size(), full.leaves.size());
+        const bool keyframe = static_cast<int>(s) % keyframe_interval == 0;
+        for (std::size_t l = 0; l < delta.leaves.size(); ++l) {
+            SCOPED_TRACE("leaf " + std::to_string(l));
+            const std::filesystem::path dpath = dir / delta.leaves[l].file;
+            const std::filesystem::path fpath = dir / full.leaves[l].file;
+            const BatFile dfile(dpath);
+            const BatFile ffile(fpath);
+            ASSERT_EQ(dfile.num_treelets(), ffile.num_treelets());
+            const std::vector<TreeletDirEntry> dfacts = directory_facts(dpath);
+            const std::vector<TreeletDirEntry> ffacts = directory_facts(fpath);
+            // (a) No false clean: every treelet, referenced or inline,
+            // holds what a fresh build of this step holds.
+            for (std::size_t t = 0; t < dfile.num_treelets(); ++t) {
+                EXPECT_TRUE(same_facts(dfacts[t], ffacts[t])) << "treelet " << t;
+                EXPECT_TRUE(content_of(dfile, t) == content_of(ffile, t)) << "treelet " << t;
+                refs += dfile.treelet_is_delta(t) ? 1 : 0;
+            }
+            if (keyframe || s == 0) {
+                EXPECT_TRUE(dfile.base_file_names().empty());
+                continue;
+            }
+            const Metadata prev_meta = Metadata::load(pair.delta_meta[s - 1]);
+            const std::filesystem::path ppath = dir / prev_meta.leaves[l].file;
+            if (ppath == dpath) {
+                continue;  // the whole leaf was unchanged
+            }
+            const BatFile prev(ppath);
+            if (prev.num_treelets() != dfile.num_treelets()) {
+                continue;
+            }
+            if (!dfile.base_file_names().empty()) {
+                moved_bounds += prev.bounds() == dfile.bounds() ? 0 : 1;
+                moved_edges += prev.attr_edges(0) == dfile.attr_edges(0) ? 0 : 1;
+            }
+            // (b) No missed clean: an inline treelet differs from the
+            // previous step's.
+            const std::vector<TreeletDirEntry> pfacts = directory_facts(ppath);
+            for (std::size_t t = 0; t < dfile.num_treelets(); ++t) {
+                if (dfile.treelet_is_delta(t)) {
+                    continue;
+                }
+                ++inline_compared;
+                EXPECT_FALSE(same_facts(dfacts[t], pfacts[t]) &&
+                             content_of(dfile, t) == content_of(prev, t))
+                    << "treelet " << t << " is written inline but did not change";
+            }
+        }
+    }
+    EXPECT_GT(refs, 0u);
+    EXPECT_GT(inline_compared, 0u);
+    EXPECT_GT(moved_bounds, 0u) << "no step moved a leaf's bounds while skipping treelets";
+    EXPECT_GT(moved_edges, 0u) << "no step moved a leaf's bin edges while keeping treelets";
+}
+
+TEST(SeriesDeltaTest, HelpedBoilerSeriesSkipsExactlyTheUnchangedTreelets) {
+    // Three x slabs, the last holding ~75% of a Coal Boiler: its leaf is
+    // helped by ranks 0 and 1 on every step, delta steps included. Step 2
+    // repeats step 1, so the heavy leaf has nothing to build and its
+    // helpers get only the empty end-of-stream job.
+    constexpr int kBoilerRanks = 3;
+    constexpr int kInterval = 4;
+    BoilerConfig boiler;
+    boiler.particles_at_start = 60'000;
+    boiler.particles_at_end = 60'000;
+    const ParticleSet base = make_boiler_particles(boiler, 2501);
+    const std::vector<Box> boxes = testing::quantile_slabs(base, boiler.domain, {0.1, 0.25});
+    std::vector<std::vector<ParticleSet>> steps;
+    for (const int s : {0, 1, 1, 2, 3, 4}) {
+        steps.push_back(testing::split_by_slabs(evolving_step(base, s), boxes));
+    }
+    WriterConfig config;
+    config.tree.target_file_size = 1 << 20;  // one leaf per rank
+    config.delta.keyframe_interval = kInterval;
+    auto& helped = obs::MetricsRegistry::global().counter("write.help_particles");
+    const std::uint64_t helped_before = helped.value();
+    const auto pair = write_series_pair(steps, boxes, config);
+    EXPECT_GT(helped.value(), helped_before);
+    expect_exact_deltas(*pair, kInterval);
+    // The heavy leaf's aggregator writes the most treelets.
+    std::size_t heavy = 0;
+    for (std::size_t r = 1; r < kBoilerRanks; ++r) {
+        if (pair->results[0][r].delta_treelets_written >
+            pair->results[0][heavy].delta_treelets_written) {
+            heavy = r;
+        }
+    }
+    for (const std::size_t s : {1, 3, 5}) {
+        EXPECT_GT(pair->results[s][heavy].delta_treelets_clean, 0u) << "step " << s;
+        EXPECT_GT(pair->results[s][heavy].delta_treelets_written, 0u) << "step " << s;
+        EXPECT_GT(pair->help_jobs[s], 0u) << "step " << s << ": the dirty work was not helped";
+    }
+    EXPECT_EQ(pair->help_jobs[2], 0u) << "an unchanged step shipped jobs";
+    EXPECT_EQ(pair->results[2][heavy].leaves_unchanged, 1);
+}
+
+TEST(SeriesDeltaTest, DamBreakSeriesSkipsExactlyTheUnchangedTreelets) {
+    constexpr int kDamRanks = 4;
+    constexpr int kInterval = 3;
+    DamBreakConfig dam;
+    dam.num_particles = 40'000;
+    const ParticleSet base = make_dambreak_particles(dam, 2000);
+    const GridDecomp decomp = grid_decomp_2d(kDamRanks, dam.domain);
+    std::vector<std::vector<ParticleSet>> steps;
+    for (int s = 0; s < 6; ++s) {
+        steps.push_back(partition_particles(evolving_step(base, s), decomp));
+    }
+    std::vector<Box> boxes;
+    for (int r = 0; r < kDamRanks; ++r) {
+        boxes.push_back(decomp.rank_box(r));
+    }
+    WriterConfig config;
+    config.tree.target_file_size = 256 << 10;
+    config.bat.target_treelet_particles = 1024;
+    config.delta.keyframe_interval = kInterval;
+    const auto pair = write_series_pair(steps, boxes, config);
+    expect_exact_deltas(*pair, kInterval);
+}
+
+TEST(SeriesDeltaTest, SwappedTiesAreWrittenInline) {
+    // Two particles at one position with different attributes trade rows
+    // between steps. Their Morton codes tie, so only the stable order tells
+    // them apart: their treelet's bytes change and it must not be skipped.
+    ParticleSet base = make_uniform_particles(kDomain, 8'000, 2, 33);
+    const Vec3 at{1.3f, 0.4f, 1.7f};
+    const std::array<double, 2> first{1.0, 2.0};
+    const std::array<double, 2> second{3.0, 4.0};
+    base.push_back(at, first);
+    base.push_back(at, second);
+    ParticleSet swapped = base;
+    const std::size_t n = swapped.count();
+    for (std::size_t a = 0; a < swapped.num_attrs(); ++a) {
+        std::swap(swapped.attr_mut(a)[n - 2], swapped.attr_mut(a)[n - 1]);
+    }
+    WriterConfig config = series_config("", "");
+    config.tree.target_file_size = 64 << 20;  // one leaf
+    const auto pair = write_series_pair({{base}, {swapped}}, {kDomain}, config);
+    expect_bit_exact(Dataset(pair->delta_meta[1]).collect(BatQuery{}),
+                     Dataset(pair->full_meta[1]).collect(BatQuery{}));
+    const Metadata meta = Metadata::load(pair->delta_meta[1]);
+    ASSERT_EQ(meta.leaves.size(), 1u);
+    const BatFile file(pair->dir.path() / meta.leaves[0].file);
+    std::size_t refs = 0;
+    int holder = -1;
+    for (std::size_t t = 0; t < file.num_treelets(); ++t) {
+        refs += file.treelet_is_delta(t) ? 1 : 0;
+        const BatFile::TreeletView view = file.treelet(t);
+        for (std::uint32_t i = 0; i < view.num_points; ++i) {
+            if (view.position(i) == at) {
+                holder = static_cast<int>(t);
+            }
+        }
+    }
+    ASSERT_GE(holder, 0);
+    EXPECT_FALSE(file.treelet_is_delta(static_cast<std::size_t>(holder)));
+    EXPECT_EQ(pair->results[1][0].delta_treelets_written, 1u);
+    EXPECT_EQ(refs + 1, file.num_treelets());
 }
 
 }  // namespace

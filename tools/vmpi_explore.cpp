@@ -53,15 +53,16 @@ using bat::sched::RunResult;
 const bat::Box kDomain({0, 0, 0}, {4, 4, 4});
 
 /// Writer → reader → DataService round: the pipeline the CI sweep guards.
-/// The writer runs two SeriesWriter steps, so the transfer merge runs under
-/// a fresh plan and then under a reused plan whose cached per-rank counts
-/// are stale (rank 0 drops 10% of its particles, under the replan
-/// threshold); the reads then go to the second step. Rank 0 holds 24x the
-/// particles of rank 1, so in both steps rank 1 builds treelet-range jobs
-/// of rank 0's leaf and the job/result messages run under the explorer
-/// and the race checker. Sizes stay just above the smallest shipped job;
-/// the schedule freedom comes from 2 ranks + 2 pool workers, not from data
-/// volume.
+/// The writer runs three SeriesWriter steps, so the transfer merge runs
+/// under a fresh plan and then under a reused plan whose cached per-rank
+/// counts are stale (rank 0 drops 10% of its particles, under the replan
+/// threshold); step 2 moves only the particles of one slab of rank 0's
+/// box, so its delta build skips most treelets and the help plan cuts only
+/// the rest. The reads then go to the last step. Rank 0 holds 24x the
+/// particles of rank 1, so rank 1 builds treelet-range jobs of rank 0's
+/// leaf and the job/result messages run under the explorer and the race
+/// checker. Sizes stay just above the smallest shipped job; the schedule
+/// freedom comes from 2 ranks + 2 pool workers, not from data volume.
 void scenario_round() {
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() /
@@ -89,6 +90,17 @@ void scenario_round() {
     // Step 1: rank 0 keeps the first 90% of its particles.
     std::vector<bat::ParticleSet> drifted = per_rank;
     drifted[0].resize(drifted[0].count() * 9 / 10);
+    // Step 2: the particles of the lowest x tenth of rank 0's box move.
+    std::vector<bat::ParticleSet> moved = drifted;
+    const bat::Box box0 = decomp.rank_box(0);
+    const float slab = box0.lower.x + 0.1f * (box0.upper.x - box0.lower.x);
+    for (std::size_t i = 0; i < moved[0].count(); ++i) {
+        bat::Vec3 p = moved[0].position(i);
+        if (p.x < slab) {
+            p.x = box0.lower.x + 0.5f * (p.x - box0.lower.x);
+            moved[0].set_position(i, p);
+        }
+    }
 
     std::filesystem::path meta_path;
     bat::vmpi::Runtime::run(nranks, [&](bat::vmpi::Comm& comm) {
@@ -101,12 +113,22 @@ void scenario_round() {
         const auto r = static_cast<std::size_t>(comm.rank());
         bat::SeriesWriter writer(config);
         writer.write_timestep(comm, 0, per_rank[r], decomp.rank_box(comm.rank()));
-        const bat::WriteResult result =
+        const bat::WriteResult step1 =
             writer.write_timestep(comm, 1, drifted[r], decomp.rank_box(comm.rank()));
-        BAT_CHECK_MSG(result.reused_plan, "round: step 1 did not reuse the plan");
-        BAT_CHECK_MSG(bat::obs::MetricsRegistry::global().counter("write.help_jobs").value() >= 2,
-                      "round: rank 0's leaf was built without help");
+        BAT_CHECK_MSG(step1.reused_plan, "round: step 1 did not reuse the plan");
+        auto& jobs = bat::obs::MetricsRegistry::global().counter("write.help_jobs");
+        BAT_CHECK_MSG(jobs.value() >= 2, "round: rank 0's leaf was built without help");
+        comm.barrier();
+        const std::uint64_t jobs_before = jobs.value();
+        const bat::WriteResult result =
+            writer.write_timestep(comm, 2, moved[r], decomp.rank_box(comm.rank()));
+        BAT_CHECK_MSG(result.reused_plan, "round: step 2 did not reuse the plan");
+        comm.barrier();
+        BAT_CHECK_MSG(jobs.value() > jobs_before,
+                      "round: step 2's changed treelets were built without help");
         if (comm.rank() == 0) {
+            BAT_CHECK_MSG(result.delta_treelets_clean > result.delta_treelets_written,
+                          "round: step 2 rewrote most of rank 0's leaf");
             meta_path = result.metadata_path;
         }
     });
